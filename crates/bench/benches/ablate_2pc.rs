@@ -4,9 +4,10 @@
 //!
 //! Two regimes of the same machine:
 //!
-//! 1. **wal** — `BridgeConfig::with_wal()`: per-instance crash
-//!    consistency (the A13a baseline), Create/Delete fan out directly.
-//! 2. **2pc** — `BridgeConfig::with_2pc()`: every multi-instance
+//! 1. **wal** — `Durability::Wal`: per-instance crash consistency (the
+//!    A13a baseline); each multi-instance mutation is the degenerate
+//!    one-phase transaction, fanning out directly.
+//! 2. **2pc** — `Durability::Atomic`: every multi-instance
 //!    mutation runs presumed-abort two-phase commit — a prepare round
 //!    into the participants' WAL rings, then BEGIN and COMMIT records
 //!    on the coordinator's decision log, then the decide round.
@@ -27,7 +28,7 @@
 use bridge_bench::report::{secs, Table};
 use bridge_bench::results::{emit, Metric};
 use bridge_bench::{file_blocks, records_per_second};
-use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Redundancy};
+use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Durability, Redundancy};
 use bridge_efs::{LfsClient, LfsFileId, LfsOp};
 use bridge_tools::{run_workers, ToolOptions, WorkerSpec};
 use bytes::Bytes;
@@ -75,13 +76,8 @@ struct Run {
     concurrent: SimDuration,
 }
 
-fn measure(two_pc: bool) -> Run {
-    let base = BridgeConfig::paper(BREADTH);
-    let config = if two_pc {
-        base.with_2pc()
-    } else {
-        base.with_wal()
-    };
+fn measure(durability: Durability) -> Run {
+    let config = BridgeConfig::paper(BREADTH).with_durability(durability);
     let (mut sim, machine) = BridgeMachine::build(&config);
     let server = machine.server;
     let frontend = machine.frontend;
@@ -168,8 +164,8 @@ fn main() {
         stream_blocks()
     );
 
-    let wal = measure(false);
-    let two_pc = measure(true);
+    let wal = measure(Durability::Wal);
+    let two_pc = measure(Durability::Atomic);
 
     let mut t = Table::new(["workload", "wal only", "2pc"]);
     for (name, pick) in [

@@ -350,9 +350,11 @@ fn main() {
         / runs[2].read.as_secs_f64();
 
     println!(
-        "\nMirroring doubles capacity and write cost; rotating parity stores only\n\
-         p/(p−1) but pays the classic small-write penalty (a parity read-modify-write\n\
-         per block) and reconstructs degraded reads from p−1 peers. The paper judged\n\
+        "\nMirroring doubles capacity, but a write sends the data block and its\n\
+         mirror copy to two instances at once, so an append costs little more than\n\
+         an unprotected one. Rotating parity stores only p/(p−1) but pays the classic\n\
+         small-write penalty (the parity read precedes the data + parity write round)\n\
+         and reconstructs degraded reads from p−1 peers. The paper judged\n\
          block-level ECC infeasible on a MIMD machine; a rotating parity column —\n\
          published the same year as RAID — turns out to fit Bridge's structure\n\
          naturally. A second failure remains fatal in every mode."

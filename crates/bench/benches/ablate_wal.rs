@@ -22,7 +22,7 @@
 use bridge_bench::report::{secs, Table};
 use bridge_bench::results::{emit, Metric};
 use bridge_bench::{file_blocks, records_per_second, write_workload};
-use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine};
+use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, Durability};
 use bridge_efs::{LfsClient, LfsFileId, LfsOp, WalConfig};
 use bridge_tools::{run_workers, ToolOptions, WorkerSpec};
 use bytes::Bytes;
@@ -53,7 +53,13 @@ struct Run {
 }
 
 fn measure(wal: WalConfig) -> Run {
-    let mut config = BridgeConfig::paper(BREADTH);
+    let durability = if wal.is_enabled() {
+        Durability::Wal
+    } else {
+        Durability::Paper
+    };
+    let mut config = BridgeConfig::paper(BREADTH).with_durability(durability);
+    // The ablation's knob: group-commit depth (and ring size) per run.
     config.efs.wal = wal;
     let (mut sim, machine) = BridgeMachine::build(&config);
     let server = machine.server;

@@ -59,7 +59,7 @@ pub use header::{
     BRIDGE_MAGIC,
 };
 pub use ids::{BridgeFileId, JobId, LfsIndex};
-pub use machine::{BridgeConfig, BridgeMachine};
+pub use machine::{BridgeConfig, BridgeMachine, Durability};
 pub use placement::{Placement, PlacementCursor, PlacementKind};
 pub use protocol::{
     reply_wire_size, request_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest,

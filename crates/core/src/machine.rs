@@ -6,9 +6,9 @@
 //! interconnect.
 
 use crate::redundancy::Redundancy;
-use crate::server::{spawn_bridge_agent, spawn_bridge_server, BridgeServerConfig};
+use crate::server::{spawn_bridge_agent, spawn_bridge_server, BridgeServerConfig, CreateFanout};
 use crate::txlog::TxLog;
-use bridge_efs::{spawn_lfs_sched, Efs, EfsConfig, RetryPolicy};
+use bridge_efs::{spawn_lfs_sched, Efs, EfsConfig, RetryPolicy, WalConfig};
 use bridge_trace::{DiskCounters, TelemetryRegistry};
 use parsim::{
     Engine, FaultPlan, NodeId, ProcId, SimConfig, SimDuration, Simulation, TracerHandle,
@@ -39,6 +39,29 @@ impl DiskTelemetrySink for DiskCountersSink {
         );
         self.0.set_lost(lost);
     }
+}
+
+/// How a machine makes its mutations durable — the one knob behind
+/// [`BridgeConfig::with_wal`] and [`BridgeConfig::with_2pc`].
+///
+/// Every multi-instance mutation (Create, Delete/DeleteMany, a mirrored
+/// or parity write) is one transaction in every mode. Only `Atomic`
+/// gives the server a decision log; without one the transaction
+/// degenerates to the paper's fan-out, its prepare round carrying the
+/// decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Durability {
+    /// The prototype: no logs anywhere.
+    #[default]
+    Paper,
+    /// Per-LFS write-ahead logs, so each instance survives crashes
+    /// without losing acknowledged writes; a multi-instance mutation
+    /// can still land on some instances and not others.
+    Wal,
+    /// Per-LFS WALs plus the server's presumed-abort decision log: every
+    /// multi-instance mutation lands on all its instances or on none,
+    /// across any crash point (two-phase commit, see [`TxLog`]).
+    Atomic,
 }
 
 /// Everything needed to stand up a Bridge machine.
@@ -84,13 +107,12 @@ pub struct BridgeConfig {
     /// the run-to-completion fiber engine wherever supported; results are
     /// bit-identical either way, only host-side speed differs.
     pub engine: Engine,
-    /// Give the server a decision log on its own disk and route every
-    /// multi-instance mutation through presumed-abort two-phase commit
-    /// (see [`TxLog`]). Off by default: without it the machine takes the
-    /// exact pre-2PC code path, bit for bit. Implies per-LFS WALs — the
-    /// participants' PREPARE records live there — so enable via
-    /// [`BridgeConfig::with_2pc`].
-    pub two_pc: bool,
+    /// How mutations are made durable. [`Durability::Paper`] by default;
+    /// set it through [`with_wal`](Self::with_wal) or
+    /// [`with_2pc`](Self::with_2pc), which also install the per-LFS WAL
+    /// in `efs.wal` — [`BridgeMachine::build_in`] rejects a WAL that
+    /// disagrees with this mode.
+    pub durability: Durability,
     /// Arm the live telemetry registry ([`TelemetryRegistry`]): lock-free
     /// counters every layer updates in place, pollable mid-run via
     /// [`BridgeCmd::GetHealth`](crate::BridgeCmd::GetHealth). On by
@@ -117,7 +139,7 @@ impl BridgeConfig {
             tracer: None,
             faults: FaultPlan::none(),
             engine: Engine::auto(),
-            two_pc: false,
+            durability: Durability::Paper,
             telemetry: true,
         }
     }
@@ -150,7 +172,7 @@ impl BridgeConfig {
             tracer: None,
             faults: FaultPlan::none(),
             engine: Engine::auto(),
-            two_pc: false,
+            durability: Durability::Paper,
             telemetry: true,
         }
     }
@@ -179,7 +201,8 @@ impl BridgeConfig {
     /// ([`CrashAt`](parsim::CrashAt)) survivable without losing
     /// acknowledged writes.
     pub fn with_wal(mut self) -> Self {
-        self.efs.wal = bridge_efs::WalConfig::standard();
+        self.efs.wal = WalConfig::standard();
+        self.durability = Durability::Wal;
         self
     }
 
@@ -191,15 +214,32 @@ impl BridgeConfig {
     /// participant or coordinator.
     pub fn with_2pc(mut self) -> Self {
         self = self.with_wal();
-        self.two_pc = true;
+        self.durability = Durability::Atomic;
         self
     }
 
-    /// `self` creating every file with redundancy `r` unless the
-    /// [`CreateSpec`](crate::CreateSpec) overrides it. Redundant
-    /// mutations only survive crashes atomically (data and its mirror or
-    /// parity never diverge) when combined with
+    /// `self` in durability mode `d`: [`Durability::Paper`] removes any
+    /// WAL, the others are [`with_wal`](Self::with_wal) and
     /// [`with_2pc`](Self::with_2pc).
+    pub fn with_durability(mut self, d: Durability) -> Self {
+        match d {
+            Durability::Paper => {
+                self.efs.wal = WalConfig::disabled();
+                self.durability = Durability::Paper;
+                self
+            }
+            Durability::Wal => self.with_wal(),
+            Durability::Atomic => self.with_2pc(),
+        }
+    }
+
+    /// `self` creating every file with redundancy `r` unless the
+    /// [`CreateSpec`](crate::CreateSpec) names a redundancy of its own
+    /// (a spec asking for [`Redundancy::None`] inherits `r`). A
+    /// redundant write sends the data block and its mirror or parity
+    /// companion as one transaction; only under
+    /// [`with_2pc`](Self::with_2pc) does a crash leave the two either
+    /// both updated or both untouched.
     pub fn with_redundancy(mut self, r: Redundancy) -> Self {
         self.server.default_redundancy = r;
         self
@@ -223,7 +263,7 @@ pub struct BridgeMachine {
     pub lfs: Vec<ProcId>,
     /// The node of each LFS instance, by machine index.
     pub lfs_nodes: Vec<NodeId>,
-    /// Per-node fan-out agents (for tree-structured Create).
+    /// Per-node fan-out agents (for tree-structured Create), one per LFS.
     pub agents: Vec<ProcId>,
     /// A spare node for application / tool controller processes (a
     /// "front-end" not holding any disk).
@@ -258,11 +298,26 @@ impl BridgeMachine {
     ///
     /// # Panics
     ///
-    /// Panics if `config.breadth` is zero.
+    /// Panics if `config.breadth` is zero, if `config.efs.wal` disagrees
+    /// with `config.durability` (a mode with a WAL needs one carved, and
+    /// `Paper` must not have one), or if an `Atomic` machine asks for the
+    /// tree Create fan-out (the coordinator initiates serially).
     pub fn build_in(sim: &mut Simulation, config: &BridgeConfig) -> BridgeMachine {
         assert!(
             config.breadth > 0,
             "a Bridge machine needs at least one LFS"
+        );
+        assert_eq!(
+            config.durability != Durability::Paper,
+            config.efs.wal.is_enabled(),
+            "durability {:?} disagrees with efs.wal {:?}: set both through with_wal/with_2pc",
+            config.durability,
+            config.efs.wal,
+        );
+        assert!(
+            !(config.durability == Durability::Atomic
+                && config.server.create_fanout == CreateFanout::Tree),
+            "Durability::Atomic initiates Create serially; CreateFanout::Tree is not supported"
         );
         let server_node = sim.add_node("bridge-server");
         let frontend = sim.add_node("frontend");
@@ -306,7 +361,7 @@ impl BridgeMachine {
         }
         let pairs: Vec<(ProcId, NodeId)> =
             lfs.iter().copied().zip(lfs_nodes.iter().copied()).collect();
-        let txlog = config.two_pc.then(|| {
+        let txlog = (config.durability == Durability::Atomic).then(|| {
             // The coordinator's decision log rides its own small disk on
             // the server node; crash plans address it as [`SERVER_DISK`],
             // so LFS-ordinal rules never alias it.

@@ -28,7 +28,7 @@ use bridge_trace::{HealthEvent, HealthSnapshot, TelemetryRegistry};
 use bytes::Bytes;
 use parsim::{Ctx, NodeId, ProcId, SimDuration, Simulation};
 use simdisk::{BlockAddr, SchedPolicy};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Tuning knobs for the Bridge Server.
@@ -127,17 +127,6 @@ const PARITY_BIT: u32 = 0x2000_0000;
 /// error.
 fn column_lost(e: &EfsError) -> bool {
     matches!(e, EfsError::NodeFailed | EfsError::UnknownFile(_))
-}
-
-/// Collapses a write outcome for redundant files: `Ok(true)` = landed,
-/// `Ok(false)` = that component's column is gone (tolerable alone),
-/// `Err` = a real error.
-fn ok_or_failed<T>(r: Result<T, BridgeError>) -> Result<bool, BridgeError> {
-    match r {
-        Ok(_) => Ok(true),
-        Err(BridgeError::Lfs(e)) if column_lost(&e) => Ok(false),
-        Err(e) => Err(e),
-    }
 }
 
 /// Per-file directory record.
@@ -285,6 +274,30 @@ fn plan_runs(ptrs: &[(u64, GlobalPtr)], depth: u32) -> Vec<RunPlan> {
     runs
 }
 
+/// A Delete names a node once per file it holds there; under two-phase
+/// commit each node prepares once per transaction. Merges delete
+/// columns per node — files in the columns' (batch) order, tolerant only
+/// if every merged column is — and orders the participants by machine
+/// index.
+fn one_prepare_per_node(
+    columns: &[TxParticipant],
+    tolerant: &[bool],
+) -> (Vec<TxParticipant>, Vec<bool>) {
+    let mut per_node: BTreeMap<u32, (Vec<LfsFileId>, bool)> = BTreeMap::new();
+    for (column, &t) in columns.iter().zip(tolerant) {
+        let (files, all_tolerant) = per_node.entry(column.node).or_insert((Vec::new(), true));
+        files.extend_from_slice(column.intent.files());
+        *all_tolerant &= t;
+    }
+    per_node
+        .into_iter()
+        .map(|(node, (files, t))| {
+            let intent = PrepareIntent::DeleteFiles(files);
+            (TxParticipant { node, intent }, t)
+        })
+        .unzip()
+}
+
 #[derive(Debug)]
 struct Job {
     file: BridgeFileId,
@@ -295,8 +308,10 @@ struct Job {
 
 struct Server {
     lfs: Vec<(ProcId, NodeId)>,
-    /// Per-node fan-out agents (parallel to `lfs`); empty when the machine
-    /// was built without them.
+    /// Per-node fan-out agents (parallel to `lfs`) relaying the tree
+    /// Create. [`BridgeMachine::build_in`](crate::BridgeMachine::build_in)
+    /// always spawns them; only a hand-wired server may pass none, and
+    /// then must keep [`CreateFanout::Serial`].
     agents: Vec<ProcId>,
     my_node: NodeId,
     config: BridgeServerConfig,
@@ -312,9 +327,9 @@ struct Server {
     next_fanout: u64,
     pending: Option<PendingAppends>,
     client: LfsClient,
-    /// The presumed-abort decision log; `Some` switches every
-    /// multi-instance mutation (Create, Delete/DeleteMany) onto the
-    /// two-phase commit path.
+    /// The presumed-abort decision log ([`Durability::Atomic`](crate::Durability::Atomic)).
+    /// Only the coordinator ([`Server::run_txn`]) reads it to choose
+    /// between the two-phase round and the degenerate one-phase fan-out.
     txlog: Option<TxLog>,
     /// Next transaction id. Monotonic across the server's life — a
     /// modeling shortcut: the real coordinator would recover the high
@@ -328,9 +343,10 @@ struct Server {
 /// Spawns the Bridge Server on `node`, gluing together the given LFS
 /// server processes. `agents` are the per-node fan-out agents (one per
 /// LFS, or empty to force serial creates). `txlog` is the coordinator's
-/// presumed-abort decision log; passing `Some` routes every
-/// multi-instance mutation through two-phase commit over the per-LFS
-/// WALs (which every instance must then run). Returns the server's
+/// presumed-abort decision log; passing `Some` makes every
+/// multi-instance mutation commit by two-phase commit over the per-LFS
+/// WALs (which every instance must then run), `None` runs the same
+/// transactions as the paper's one-phase fan-out. Returns the server's
 /// process id.
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_bridge_server(
@@ -713,127 +729,84 @@ impl Server {
 
         let file = BridgeFileId(self.next_file);
         self.next_file += 1;
-        let lfs_file = LfsFileId(file.0);
-        let companion = match redundancy {
-            Redundancy::None => None,
-            Redundancy::Mirror => Some(LfsFileId(file.0 | MIRROR_BIT)),
-            Redundancy::Parity { .. } => Some(LfsFileId(file.0 | PARITY_BIT)),
+        let meta = FileMeta {
+            lfs_file: LfsFileId(file.0),
+            redundancy,
+            linked_locals: vec![0; nodes.len()],
+            nodes,
+            placement: Placement::new(kind, breadth),
+            size: 0,
+            head: None,
+            tail: None,
+            hashed_cache: Vec::new(),
+            hashed_cursor: None,
+            hints: vec![None; machine_breadth as usize],
         };
-
-        if self.txlog.is_some() {
-            // Machine-wide atomicity: every column's create prepares
-            // tentatively under 2PC, so a crash anywhere in the fan-out
-            // leaves the file on all its placement nodes or on none.
-            // An unprotected file's create tolerates no participant
-            // failure — the legacy path propagates every error too, it
-            // just can't undo. A redundant file's create proceeds
-            // without a lost column: its (empty) constituent files
-            // appear on the spare when a rebuild reaches it.
-            let participants: Vec<TxParticipant> = nodes
-                .iter()
-                .map(|&n| {
-                    let mut files = vec![lfs_file];
-                    if let Some(companion) = companion {
-                        files.push(companion);
-                    }
-                    TxParticipant {
+        let companion = meta.companion(file);
+        match self.config.create_fanout {
+            CreateFanout::Serial => {
+                // One column per placement node. An unprotected file's
+                // create tolerates no failure; a redundant file's create
+                // proceeds without a lost column — its (empty)
+                // constituent files appear on the spare when a rebuild
+                // reaches it.
+                let mut files = vec![meta.lfs_file];
+                files.extend(companion);
+                let columns: Vec<TxParticipant> = meta
+                    .nodes
+                    .iter()
+                    .map(|&n| TxParticipant {
                         node: n,
-                        intent: PrepareIntent::CreateFiles(files),
-                    }
-                })
-                .collect();
-            let tolerant = vec![redundancy != Redundancy::None; participants.len()];
-            self.run_2pc(ctx, &participants, &tolerant, true)?;
-        } else {
-            self.create_fanout(ctx, &nodes, lfs_file, companion)?;
+                        intent: PrepareIntent::CreateFiles(files.clone()),
+                    })
+                    .collect();
+                let tolerant = vec![redundancy != Redundancy::None; columns.len()];
+                self.run_txn(ctx, &columns, &tolerant, true)?;
+            }
+            CreateFanout::Tree => self.create_tree(ctx, &meta.nodes, meta.lfs_file, companion)?,
         }
-
-        let hints = vec![None; machine_breadth as usize];
-        self.files.insert(
-            file,
-            FileMeta {
-                lfs_file,
-                redundancy,
-                linked_locals: vec![0; nodes.len()],
-                nodes,
-                placement: Placement::new(kind, breadth),
-                size: 0,
-                head: None,
-                tail: None,
-                hashed_cache: Vec::new(),
-                hashed_cursor: None,
-                hints,
-            },
-        );
+        self.files.insert(file, meta);
         Ok(BridgeData::Created(file))
     }
 
-    /// The legacy (non-transactional) Create fan-out: serial initiation
-    /// or the embedded binary tree of agents.
-    fn create_fanout(
+    /// Create through the embedded binary tree of per-node agents (the
+    /// paper's suggested remedy for serial initiation). A relay topology
+    /// with no decision log, so [`BridgeMachine::build_in`](crate::BridgeMachine::build_in)
+    /// refuses it under [`Durability::Atomic`](crate::Durability::Atomic).
+    fn create_tree(
         &mut self,
         ctx: &mut Ctx,
         nodes: &[u32],
         lfs_file: LfsFileId,
         companion: Option<LfsFileId>,
     ) -> Result<(), BridgeError> {
-        match self.config.create_fanout {
-            CreateFanout::Serial => {
-                // "The Create operation must create an LFS file on each
-                // disk. Bridge gets some parallelism by starting all the
-                // LFS operations before waiting for them, but the
-                // initiation and termination are sequential."
-                let mut pending = Vec::with_capacity(nodes.len() * 2);
-                for &n in nodes {
-                    ctx.delay(self.config.create_init_cpu);
-                    let proc = self.lfs[n as usize].0;
-                    let id = self
-                        .client
-                        .send(ctx, proc, LfsOp::Create { file: lfs_file });
-                    pending.push((proc, id));
-                    if let Some(companion) = companion {
-                        let id = self
-                            .client
-                            .send(ctx, proc, LfsOp::Create { file: companion });
-                        pending.push((proc, id));
-                    }
-                }
-                for (proc, id) in pending {
-                    self.client.wait(ctx, proc, id).map_err(BridgeError::Lfs)?;
-                    ctx.delay(self.config.create_ack_cpu);
-                }
-            }
-            CreateFanout::Tree => {
-                assert!(
-                    !self.agents.is_empty(),
-                    "tree create requires per-node agents (build the machine with them)"
-                );
-                let fanout_id = self.next_fanout;
-                self.next_fanout += 1;
-                let targets: Vec<(ProcId, ProcId)> = nodes
-                    .iter()
-                    .map(|&n| (self.agents[n as usize], self.lfs[n as usize].0))
-                    .collect();
-                ctx.delay(self.config.create_init_cpu);
-                ctx.send(
-                    targets[0].0,
-                    FanoutCreate {
-                        id: fanout_id,
-                        lfs_file,
-                        companion,
-                        targets,
-                    },
-                );
-                let env = ctx.recv_where(move |e| {
-                    e.downcast_ref::<FanoutAck>()
-                        .is_some_and(|a| a.id == fanout_id)
-                });
-                let ack = env.downcast::<FanoutAck>().expect("matched");
-                ctx.delay(self.config.create_ack_cpu);
-                ack.result?;
-            }
-        }
-        Ok(())
+        assert!(
+            !self.agents.is_empty(),
+            "tree create requires per-node agents (build the machine with them)"
+        );
+        let fanout_id = self.next_fanout;
+        self.next_fanout += 1;
+        let targets: Vec<(ProcId, ProcId)> = nodes
+            .iter()
+            .map(|&n| (self.agents[n as usize], self.lfs[n as usize].0))
+            .collect();
+        ctx.delay(self.config.create_init_cpu);
+        ctx.send(
+            targets[0].0,
+            FanoutCreate {
+                id: fanout_id,
+                lfs_file,
+                companion,
+                targets,
+            },
+        );
+        let env = ctx.recv_where(move |e| {
+            e.downcast_ref::<FanoutAck>()
+                .is_some_and(|a| a.id == fanout_id)
+        });
+        let ack = env.downcast::<FanoutAck>().expect("matched");
+        ctx.delay(self.config.create_ack_cpu);
+        ack.result
     }
 
     fn delete(
@@ -853,11 +826,26 @@ impl Server {
                 return Err(BridgeError::UnknownFile(file));
             }
         }
-        let blocks = if self.txlog.is_some() {
-            self.delete_2pc(ctx, &files)?
-        } else {
-            self.delete_fanout(ctx, &files)?
-        };
+        // "The Delete operation runs in parallel on all instances of the
+        // LFS." One column per (file, node), file-major, so a batch
+        // discards a whole generation of intermediates in one parallel
+        // wave. A redundant file's column on a failed node is already
+        // lost; deleting the rest must still succeed.
+        let mut columns = Vec::new();
+        let mut tolerant = Vec::new();
+        for &file in &files {
+            let meta = &self.files[&file];
+            let mut names = vec![meta.lfs_file];
+            names.extend(meta.companion(file));
+            for &n in &meta.nodes {
+                columns.push(TxParticipant {
+                    node: n,
+                    intent: PrepareIntent::DeleteFiles(names.clone()),
+                });
+                tolerant.push(meta.redundancy != Redundancy::None);
+            }
+        }
+        let (blocks, _) = self.run_txn(ctx, &columns, &tolerant, false)?;
         // Only a fully successful fan-out retires the metadata; on error
         // the directory still names every file, so a client can retry.
         for &file in &files {
@@ -868,91 +856,127 @@ impl Server {
         Ok(BridgeData::Deleted { blocks })
     }
 
-    /// The legacy (non-transactional) Delete fan-out. Returns the blocks
-    /// freed on surviving instances.
-    fn delete_fanout(&mut self, ctx: &mut Ctx, files: &[BridgeFileId]) -> Result<u64, BridgeError> {
-        // "The Delete operation runs in parallel on all instances of the
-        // LFS, but it takes time O(n/p)." Batched deletes additionally
-        // pipeline across files, so tools can discard a whole generation of
-        // intermediates in one parallel wave.
-        let mut calls: Vec<(ProcId, LfsOp)> = Vec::new();
-        let mut tolerant = Vec::new();
-        for &file in files {
-            let meta = &self.files[&file];
-            let companion = meta.companion(file);
-            for &n in &meta.nodes {
-                let proc = self.lfs[n as usize].0;
-                calls.push((
-                    proc,
-                    LfsOp::Delete {
-                        file: meta.lfs_file,
-                    },
-                ));
-                tolerant.push(meta.redundancy != Redundancy::None);
-                if let Some(companion) = companion {
-                    calls.push((proc, LfsOp::Delete { file: companion }));
-                    tolerant.push(true);
-                }
-            }
+    /// The coordinator: commits one multi-instance mutation given as its
+    /// columns — in the order the paper's fan-out reaches them — and
+    /// whether each may be lost (its node failed, its disk was lost, or
+    /// it sits on an unrebuilt spare) without failing the mutation.
+    /// `create_costs` charges the paper's serial initiation CPU per
+    /// column and completion CPU per LFS reply.
+    ///
+    /// This is the only code that looks at the durability mode. With a
+    /// decision log every column prepares and the decision is logged and
+    /// fanned out ([`Self::two_phase`]). Without one the transaction
+    /// degenerates: phase 1 sends each intent's direct LFS ops, and the
+    /// prepare round carries the decision — no BEGIN, no COMMIT, no
+    /// phase 2 ([`Self::one_phase`]).
+    ///
+    /// Returns the blocks freed and the number of lost columns carried —
+    /// redundant writes use the count to tell a degraded-but-landed
+    /// write from one that landed nowhere.
+    fn run_txn(
+        &mut self,
+        ctx: &mut Ctx,
+        columns: &[TxParticipant],
+        tolerant: &[bool],
+        create_costs: bool,
+    ) -> Result<(u64, u32), BridgeError> {
+        if self.txlog.is_none() {
+            return self.one_phase(ctx, columns, tolerant, create_costs);
         }
-        let mut blocks = 0u64;
-        for (r, tolerant) in self.call_many(ctx, calls).into_iter().zip(tolerant) {
-            match r {
-                Ok(LfsData::Freed(n)) => blocks += u64::from(n),
-                Ok(_) => {}
-                // A redundant file's column on a failed node is already
-                // lost; deleting the rest must still succeed.
-                Err(EfsError::NodeFailed) if tolerant => {}
-                // An empty companion column (never written to) is fine.
-                Err(EfsError::UnknownFile(_)) if tolerant => {}
-                Err(e) => return Err(BridgeError::Lfs(e)),
-            }
-        }
-        Ok(blocks)
-    }
-
-    /// Transactional Delete: one PREPARE per participating node covering
-    /// every doomed file (and companion) it holds, committed through the
-    /// decision log. A participant is tolerant — its vote may come back
-    /// `NodeFailed` without aborting the transaction — only when every
-    /// *primary* column it holds belongs to a redundant file (companion
-    /// columns are always expendable); the column on the failed node is
-    /// already lost, and deleting the rest must still succeed.
-    fn delete_2pc(&mut self, ctx: &mut Ctx, files: &[BridgeFileId]) -> Result<u64, BridgeError> {
-        let breadth = self.breadth() as usize;
-        let mut per_node: Vec<Vec<LfsFileId>> = vec![Vec::new(); breadth];
-        let mut node_tolerant: Vec<bool> = vec![true; breadth];
-        for &file in files {
-            let meta = &self.files[&file];
-            let companion = meta.companion(file);
-            for &n in &meta.nodes {
-                per_node[n as usize].push(meta.lfs_file);
-                if meta.redundancy == Redundancy::None {
-                    node_tolerant[n as usize] = false;
-                }
-                if let Some(companion) = companion {
-                    per_node[n as usize].push(companion);
-                }
-            }
-        }
-        let participants: Vec<TxParticipant> = per_node
-            .into_iter()
-            .enumerate()
-            .filter(|(_, files)| !files.is_empty())
-            .map(|(n, files)| TxParticipant {
-                node: n as u32,
-                intent: PrepareIntent::DeleteFiles(files),
-            })
-            .collect();
-        let tolerant: Vec<bool> = participants
+        // Creates and writes already name each node once, in fan-out order.
+        if !columns
             .iter()
-            .map(|p| node_tolerant[p.node as usize])
-            .collect();
-        self.run_2pc(ctx, &participants, &tolerant, false)
-            .map(|(freed, _)| freed)
+            .all(|c| matches!(c.intent, PrepareIntent::DeleteFiles(_)))
+        {
+            return self.two_phase(ctx, columns, tolerant, create_costs);
+        }
+        let (participants, tolerant) = one_prepare_per_node(columns, tolerant);
+        self.two_phase(ctx, &participants, &tolerant, create_costs)
     }
 
-    /// One presumed-abort two-phase commit round over `participants`.
+    /// The degenerate transaction: every column's direct ops (one LFS
+    /// Create, Delete or Write per file it names) are started before any
+    /// is waited for — the server "starts all the LFS operations before
+    /// waiting for them" — and their replies are the outcome. Nothing is
+    /// logged and nothing can be undone: a vetoed mutation may have
+    /// landed on some columns.
+    fn one_phase(
+        &mut self,
+        ctx: &mut Ctx,
+        columns: &[TxParticipant],
+        tolerant: &[bool],
+        create_costs: bool,
+    ) -> Result<(u64, u32), BridgeError> {
+        let mut pending = Vec::with_capacity(columns.len());
+        for (i, column) in columns.iter().enumerate() {
+            if create_costs {
+                ctx.delay(self.config.create_init_cpu);
+            }
+            let proc = self.lfs[column.node as usize].0;
+            for op in self.direct_ops(column) {
+                pending.push((i, proc, self.client.send(ctx, proc, op)));
+            }
+        }
+        let mut freed = 0u64;
+        let mut lost = vec![false; columns.len()];
+        let mut veto: Option<EfsError> = None;
+        for (i, proc, id) in pending {
+            let reply = self.client.wait(ctx, proc, id);
+            if create_costs {
+                ctx.delay(self.config.create_ack_cpu);
+            }
+            match reply {
+                Ok(LfsData::Freed(n)) => freed += u64::from(n),
+                Ok(LfsData::Written { addr }) => {
+                    if let Some(hint) = self.primary_hint(&columns[i]) {
+                        *hint = Some(addr);
+                    }
+                }
+                Ok(_) => {}
+                Err(e) if tolerant[i] && column_lost(&e) => lost[i] = true,
+                Err(e) => veto = veto.or(Some(e)),
+            }
+        }
+        match veto {
+            Some(e) => Err(BridgeError::Lfs(e)),
+            None => Ok((freed, lost.iter().filter(|&&l| l).count() as u32)),
+        }
+    }
+
+    /// A column's intent as plain LFS ops. A write to a primary column
+    /// carries the file's disk-address hint, as a naive write does.
+    fn direct_ops(&mut self, column: &TxParticipant) -> Vec<LfsOp> {
+        match &column.intent {
+            PrepareIntent::CreateFiles(files) => {
+                files.iter().map(|&file| LfsOp::Create { file }).collect()
+            }
+            PrepareIntent::DeleteFiles(files) => {
+                files.iter().map(|&file| LfsOp::Delete { file }).collect()
+            }
+            PrepareIntent::WriteBlock {
+                file,
+                block_no,
+                payload,
+            } => vec![LfsOp::Write {
+                file: *file,
+                block: *block_no,
+                data: payload.clone(),
+                hint: self.primary_hint(column).and_then(|hint| *hint),
+            }],
+        }
+    }
+
+    /// The disk-address hint slot of a column that is a Bridge file's
+    /// primary column on its node; `None` for companion columns, whose
+    /// ids carry a marker bit and name no Bridge file.
+    fn primary_hint(&mut self, column: &TxParticipant) -> Option<&mut Option<BlockAddr>> {
+        let file = BridgeFileId(column.intent.files()[0].0);
+        let meta = self.files.get_mut(&file)?;
+        Some(&mut meta.hints[column.node as usize])
+    }
+
+    /// One presumed-abort two-phase commit round over `participants`
+    /// (at most one per node).
     ///
     /// The wire protocol: PREPAREs are pipelined to every participant,
     /// the BEGIN record (txn + participants) is forced to the decision
@@ -976,15 +1000,14 @@ impl Server {
     ///
     /// `create_costs` charges the paper's serial initiation/termination
     /// CPU per participant, making a 2PC Create cost-comparable to the
-    /// legacy serial fan-out; the decision round is charged nothing —
-    /// with pipelined fan-out and group commit at the participants it is
-    /// the prepare round's cheap echo. Returns the blocks freed by the
+    /// one-phase fan-out; the decision round is charged nothing — with
+    /// pipelined fan-out and group commit at the participants it is the
+    /// prepare round's cheap echo. Returns the blocks freed by the
     /// commit (zero for creates and aborts) and the number of tolerated
     /// lost columns — participants whose vote came back `NodeFailed` (or
     /// `UnknownFile`, a freshly formatted spare not yet rebuilt) and were
-    /// carried anyway. Redundant-write callers use the count to tell a
-    /// degraded-but-landed write from one that landed nowhere.
-    fn run_2pc(
+    /// carried anyway.
+    fn two_phase(
         &mut self,
         ctx: &mut Ctx,
         participants: &[TxParticipant],
@@ -1017,7 +1040,7 @@ impl Server {
             // Force BEGIN while the prepares are in flight, so a kill on
             // this write leaves exactly the in-doubt window the protocol
             // must survive: durable PREPAREs, no decision.
-            let txlog = self.txlog.as_mut().expect("run_2pc requires a log");
+            let txlog = self.txlog.as_mut().expect("two_phase requires a log");
             txlog.begin(ctx, txn, participants);
             if txlog.crash_down().is_some() {
                 let committed = self.server_crash_recover(ctx, txn, &pending)?;
@@ -1534,15 +1557,13 @@ impl Server {
             Redundancy::None => {
                 self.write_at(ctx, file, ptr, &header, data)?;
             }
-            Redundancy::Mirror if self.txlog.is_some() => {
-                // Atomic pair: both copies prepare (payload in each WAL),
-                // the decision is logged, both apply on commit.
+            Redundancy::Mirror => {
                 let lfs_file = self.files[&file].lfs_file;
                 let m = {
                     let meta = self.files.get_mut(&file).expect("exists");
                     meta.to_machine(meta.mirror_pos(pos))
                 };
-                let participants = vec![
+                let columns = vec![
                     TxParticipant {
                         node: ptr.lfs.0,
                         intent: PrepareIntent::WriteBlock {
@@ -1560,29 +1581,7 @@ impl Server {
                         },
                     },
                 ];
-                self.redundant_write_2pc(ctx, participants)?;
-            }
-            Redundancy::Mirror => {
-                let r = self.write_at(ctx, file, ptr, &header, data).map(|_| ());
-                let primary = ok_or_failed(r)?;
-                let m = {
-                    let meta = self.files.get_mut(&file).expect("exists");
-                    meta.to_machine(meta.mirror_pos(pos))
-                };
-                let r = self.lfs_write_payload(
-                    ctx,
-                    m.lfs,
-                    LfsFileId(file.0 | MIRROR_BIT),
-                    m.local,
-                    payload,
-                );
-                let mirror = ok_or_failed(r)?;
-                if !primary && !mirror {
-                    return Err(BridgeError::Lfs(EfsError::NodeFailed));
-                }
-            }
-            Redundancy::Parity { .. } if self.txlog.is_some() => {
-                self.parity_write_2pc(ctx, file, block, ptr, payload, size)?;
+                self.redundant_write(ctx, &columns)?;
             }
             Redundancy::Parity { .. } => {
                 self.parity_write(ctx, file, block, ptr, payload, size)?;
@@ -1591,33 +1590,33 @@ impl Server {
         Ok(())
     }
 
-    /// Commits a redundant write's columns through the decision log: every
-    /// column's `WriteBlock` intent prepares (payload durable in that
-    /// participant's WAL), the coordinator forces its decision, and the
-    /// columns apply on decide — so a crash at any point leaves the data
-    /// block and its mirror/parity companion either both updated or both
-    /// untouched, never a stale companion behind an updated primary. Lost
-    /// columns (failed node, lost disk, unrebuilt spare) are tolerated;
-    /// a write that would land on no column at all fails instead.
-    fn redundant_write_2pc(
+    /// Writes a data block and its mirror or parity companion as one
+    /// transaction — under [`Durability::Atomic`](crate::Durability::Atomic)
+    /// a crash at any point leaves both updated or both untouched, never
+    /// a stale companion behind an updated primary. Lost columns (failed
+    /// node, lost disk, unrebuilt spare) are tolerated; a write that
+    /// would land on no column at all fails instead.
+    fn redundant_write(
         &mut self,
         ctx: &mut Ctx,
-        participants: Vec<TxParticipant>,
+        columns: &[TxParticipant],
     ) -> Result<(), BridgeError> {
-        let tolerant = vec![true; participants.len()];
-        let (_, lost) = self.run_2pc(ctx, &participants, &tolerant, false)?;
-        if lost as usize >= participants.len() {
+        let tolerant = vec![true; columns.len()];
+        let (_, lost) = self.run_txn(ctx, columns, &tolerant, false)?;
+        if lost as usize >= columns.len() {
             return Err(BridgeError::Lfs(EfsError::NodeFailed));
         }
         Ok(())
     }
 
-    /// Parity-mode write through two-phase commit: the parity
-    /// read-modify-write happens *before* the round (the single-threaded
-    /// server is the only writer, so the values read cannot go stale, and
-    /// an abort leaves them valid for the retry), then data and parity
-    /// commit or roll back together.
-    fn parity_write_2pc(
+    /// Parity-mode write: the data block plus the stripe's parity block —
+    /// the classic small-write penalty. The parity read-modify-write
+    /// happens *before* the transaction (the single-threaded server is
+    /// the only writer, so the values read cannot go stale, and an abort
+    /// leaves them valid for the retry); then data and parity are written
+    /// as one transaction. A lost parity column leaves the data written
+    /// degraded — a rebuild recomputes the parity later.
+    fn parity_write(
         &mut self,
         ctx: &mut Ctx,
         file: BridgeFileId,
@@ -1655,13 +1654,11 @@ impl Server {
                     xor_into(&mut acc, &payload);
                     Some(acc.into())
                 }
-                // The parity column is gone: write the data degraded; a
-                // rebuild recomputes the parity later.
                 Err(BridgeError::Lfs(e)) if column_lost(&e) => None,
                 Err(e) => return Err(e),
             }
         };
-        let mut participants = vec![TxParticipant {
+        let mut columns = vec![TxParticipant {
             node: ptr.lfs.0,
             intent: PrepareIntent::WriteBlock {
                 file: lfs_file,
@@ -1670,7 +1667,7 @@ impl Server {
             },
         }];
         if let Some(parity) = new_parity {
-            participants.push(TxParticipant {
+            columns.push(TxParticipant {
                 node: m.lfs.0,
                 intent: PrepareIntent::WriteBlock {
                     file: parity_file,
@@ -1679,88 +1676,7 @@ impl Server {
                 },
             });
         }
-        self.redundant_write_2pc(ctx, participants)
-    }
-
-    /// Parity-mode write: data block plus the stripe's parity
-    /// read-modify-write — the classic small-write penalty, tolerated on
-    /// one failed node ("degraded" writes reconstructible from parity).
-    fn parity_write(
-        &mut self,
-        ctx: &mut Ctx,
-        file: BridgeFileId,
-        block: u64,
-        ptr: GlobalPtr,
-        payload: Bytes,
-        size: u64,
-    ) -> Result<(), BridgeError> {
-        let (layout, lfs_file) = {
-            let meta = self.files.get_mut(&file).expect("exists");
-            (meta.parity_layout(), meta.lfs_file)
-        };
-        let overwrite = block < size;
-        let old = if overwrite {
-            Some(self.data_payload(ctx, file, block)?)
-        } else {
-            None
-        };
-        let r = self.lfs_write_payload(ctx, ptr.lfs, lfs_file, ptr.local, payload.clone());
-        let data_ok = ok_or_failed(r)?;
-        let r = self.parity_update(ctx, file, &layout, block, old, &payload);
-        let parity_ok = ok_or_failed(r)?;
-        if !data_ok && !parity_ok {
-            return Err(BridgeError::Lfs(EfsError::NodeFailed));
-        }
-        Ok(())
-    }
-
-    /// Applies one data write's effect to its stripe's parity block.
-    fn parity_update(
-        &mut self,
-        ctx: &mut Ctx,
-        file: BridgeFileId,
-        layout: &ParityLayout,
-        block: u64,
-        old: Option<Bytes>,
-        new_payload: &[u8],
-    ) -> Result<(), BridgeError> {
-        let stripe = layout.stripe_of(block);
-        let j = block % layout.stripe_width();
-        let parity_pos = GlobalPtr {
-            lfs: LfsIndex(layout.parity_position(stripe)),
-            local: layout.parity_local(stripe),
-        };
-        let m = self.files[&file].to_machine(parity_pos);
-        let parity_file = LfsFileId(file.0 | PARITY_BIT);
-        match old {
-            Some(old) => {
-                // Overwrite: parity ^= old ^ new.
-                let mut p = self
-                    .lfs_read_payload(ctx, m.lfs, parity_file, m.local)?
-                    .to_vec();
-                xor_into(&mut p, &old);
-                xor_into(&mut p, new_payload);
-                self.lfs_write_payload(ctx, m.lfs, parity_file, m.local, p.into())
-            }
-            None if j == 0 => {
-                // First member of a fresh stripe: parity = payload.
-                self.lfs_write_payload(
-                    ctx,
-                    m.lfs,
-                    parity_file,
-                    m.local,
-                    Bytes::copy_from_slice(new_payload),
-                )
-            }
-            None => {
-                // Later member of the current stripe: parity ^= payload.
-                let mut p = self
-                    .lfs_read_payload(ctx, m.lfs, parity_file, m.local)?
-                    .to_vec();
-                xor_into(&mut p, new_payload);
-                self.lfs_write_payload(ctx, m.lfs, parity_file, m.local, p.into())
-            }
-        }
+        self.redundant_write(ctx, &columns)
     }
 
     /// Repairs global blocks `[first, first + count)` (clipped at the

@@ -561,6 +561,36 @@ fn tree_create_is_correct_and_faster_at_scale() {
     );
 }
 
+/// The 2PC coordinator initiates Create serially, so a tree fan-out on
+/// an `Atomic` machine would be silently ignored; the builder refuses it.
+#[test]
+#[should_panic(expected = "CreateFanout::Tree is not supported")]
+fn tree_create_is_rejected_under_atomic_durability() {
+    let mut config = BridgeConfig::instant(4).with_2pc();
+    config.server.create_fanout = bridge_core::CreateFanout::Tree;
+    BridgeMachine::build(&config);
+}
+
+/// A durability mode and the per-LFS WAL must agree: a decision log
+/// without participant WALs would fail every Create at run time.
+#[test]
+#[should_panic(expected = "disagrees with efs.wal")]
+fn durability_without_its_wal_is_rejected() {
+    let mut config = BridgeConfig::instant(4).with_2pc();
+    config.efs.wal = bridge_efs::WalConfig::disabled();
+    BridgeMachine::build(&config);
+}
+
+/// The converse mismatch: a WAL carved on a machine that claims the
+/// paper's log-free durability.
+#[test]
+#[should_panic(expected = "disagrees with efs.wal")]
+fn wal_without_its_durability_is_rejected() {
+    let mut config = BridgeConfig::instant(4);
+    config.efs.wal = bridge_efs::WalConfig::standard();
+    BridgeMachine::build(&config);
+}
+
 #[test]
 fn naive_interface_is_breadth_agnostic() {
     // The same program works unchanged at any interleaving breadth.

@@ -1,36 +1,39 @@
-//! Machine-wide atomicity of the Bridge Server's multi-instance
-//! mutations. Two families of checks:
+//! The Bridge Server's multi-instance mutations, in every
+//! [`Durability`] mode. Each mutation is one transaction; only
+//! `Atomic` gives it a decision log, the other modes run it as the
+//! paper's one-phase fan-out. Three families of checks:
 //!
 //! - **Delete staging**: a `DeleteMany` that fails validation (unknown
 //!   file, in-batch duplicate) must leave the directory untouched — the
 //!   surviving files stay fully readable and a corrected batch succeeds.
-//!   This holds on both the legacy fan-out and the 2PC path, because the
-//!   server validates the whole batch before mutating anything.
+//!   This holds in every mode, because the server validates the whole
+//!   batch before mutating anything.
 //! - **Freed-block accounting**: `Deleted { blocks }` must equal exactly
 //!   the blocks freed on surviving instances when a node is down and the
 //!   batch mixes `Redundancy::None` and `Redundancy::Mirror` files.
 //!   Tolerant skips (redundant columns on the dead node) never
 //!   under-count the survivors; an intolerable loss (a `None` file
 //!   placed on the dead node) errors — and under 2PC removes nothing.
+//! - **Fingerprints**: one fixed script per mode × redundancy, pinned
+//!   to its reply transcript, freed-block count and kernel `RunStats`.
 
 use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, Redundancy,
+    BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, Durability,
+    Redundancy,
 };
 use bridge_efs::{set_failed, EfsError, LfsClient, LfsData, LfsFileId, LfsOp};
-use parsim::{Ctx, ProcId};
+use parsim::{Ctx, ProcId, SimTime, Tracer};
+use std::sync::{Arc, Mutex};
 
 /// Companion-id bit for mirrored columns (mirrors `core::server`).
 const MIRROR_BIT: u32 = 0x4000_0000;
 
 const BREADTH: u32 = 4;
 
-fn config(two_pc: bool) -> BridgeConfig {
-    let base = BridgeConfig::instant(BREADTH);
-    if two_pc {
-        base.with_2pc()
-    } else {
-        base.with_wal()
-    }
+const MODES: [Durability; 3] = [Durability::Paper, Durability::Wal, Durability::Atomic];
+
+fn config(durability: Durability) -> BridgeConfig {
+    BridgeConfig::instant(BREADTH).with_durability(durability)
 }
 
 fn record(tag: u32, block: u64) -> Vec<u8> {
@@ -84,8 +87,8 @@ fn column_blocks(ctx: &mut Ctx, client: &mut LfsClient, lfs: ProcId, id: LfsFile
 /// metadata while its columns survived on the LFS instances.
 #[test]
 fn failed_delete_many_leaves_directory_intact() {
-    for two_pc in [false, true] {
-        let (mut sim, machine) = BridgeMachine::build(&config(two_pc));
+    for mode in MODES {
+        let (mut sim, machine) = BridgeMachine::build(&config(mode));
         let server = machine.server;
         sim.block_on(machine.frontend, "app", move |ctx| {
             let mut bridge = BridgeClient::new(server);
@@ -98,7 +101,7 @@ fn failed_delete_many_leaves_directory_intact() {
             let bogus = BridgeFileId(0xDEAD);
 
             let err = bridge.delete_many(ctx, vec![a, bogus, c]).unwrap_err();
-            assert_eq!(err, BridgeError::UnknownFile(bogus), "two_pc={two_pc}");
+            assert_eq!(err, BridgeError::UnknownFile(bogus), "{mode:?}");
             assert_readable(ctx, &mut bridge, a, 1);
             assert_readable(ctx, &mut bridge, c, 2);
 
@@ -124,11 +127,11 @@ fn failed_delete_many_leaves_directory_intact() {
 /// batch mixes a mirrored file spanning all instances (the dead node's
 /// columns are an expendable loss) with a `None` file placed away from
 /// the victim; the reply must equal the stat-derived sum of every
-/// surviving column, on both the legacy fan-out and the 2PC path.
+/// surviving column, in every mode.
 #[test]
 fn delete_many_accounting_is_exact_under_node_failure() {
-    for two_pc in [false, true] {
-        let (mut sim, machine) = BridgeMachine::build(&config(two_pc));
+    for mode in MODES {
+        let (mut sim, machine) = BridgeMachine::build(&config(mode));
         let server = machine.server;
         let lfs = machine.lfs.clone();
         sim.block_on(machine.frontend, "app", move |ctx| {
@@ -176,7 +179,7 @@ fn delete_many_accounting_is_exact_under_node_failure() {
             let freed = bridge.delete_many(ctx, vec![m, s]).unwrap();
             assert_eq!(
                 freed, expected,
-                "two_pc={two_pc}: tolerant skips must not under-count"
+                "{mode:?}: tolerant skips must not under-count"
             );
             set_failed(ctx, lfs[victim], false);
             assert_eq!(
@@ -188,31 +191,196 @@ fn delete_many_accounting_is_exact_under_node_failure() {
 }
 
 /// An intolerable loss — a `Redundancy::None` file with a column on the
-/// dead node — fails the batch, and under 2PC the abort rolls back the
-/// prepares on the surviving instances: after the node revives, every
-/// file in the batch is still whole and a retry deletes all of it.
+/// dead node — fails the batch in every mode. Under 2PC the abort rolls
+/// back the prepares on the surviving instances: after the node revives,
+/// every file in the batch is still whole and a retry deletes all of it.
+/// Without a decision log nothing is undone: the survivors' columns are
+/// gone while the dead node's column of the `None` file remains.
 #[test]
 fn vetoed_delete_rolls_back_every_prepare() {
-    let (mut sim, machine) = BridgeMachine::build(&config(true));
+    for mode in MODES {
+        let (mut sim, machine) = BridgeMachine::build(&config(mode));
+        let server = machine.server;
+        let lfs = machine.lfs.clone();
+        sim.block_on(machine.frontend, "app", move |ctx| {
+            let mut bridge = BridgeClient::new(server);
+            let mut probe = LfsClient::new();
+            let victim = 1usize;
+            let spec = |redundancy| CreateSpec {
+                redundancy,
+                ..CreateSpec::default()
+            };
+            let frail = write_file(ctx, &mut bridge, 5, 7, spec(Redundancy::None));
+            let sturdy = write_file(ctx, &mut bridge, 6, 6, spec(Redundancy::Mirror));
+
+            set_failed(ctx, lfs[victim], true);
+            let err = bridge.delete_many(ctx, vec![frail, sturdy]).unwrap_err();
+            assert_eq!(err, BridgeError::Lfs(EfsError::NodeFailed), "{mode:?}");
+            set_failed(ctx, lfs[victim], false);
+
+            if mode == Durability::Atomic {
+                assert_readable(ctx, &mut bridge, frail, 5);
+                assert_readable(ctx, &mut bridge, sturdy, 6);
+                assert!(bridge.delete_many(ctx, vec![frail, sturdy]).unwrap() > 0);
+            } else {
+                let column = LfsFileId(frail.0);
+                assert!(column_blocks(ctx, &mut probe, lfs[victim], column) > 0);
+                assert_eq!(column_blocks(ctx, &mut probe, lfs[0], column), 0);
+            }
+        });
+    }
+}
+
+const REDUNDANCIES: [Redundancy; 3] = [
+    Redundancy::None,
+    Redundancy::Mirror,
+    Redundancy::Parity { group: 0 },
+];
+
+/// Records every message the simulation posts, in posting order.
+#[derive(Debug, Default)]
+struct Sends(Mutex<Vec<(ProcId, ProcId, usize)>>);
+
+impl Tracer for Sends {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn flow_send(&self, _id: u64, from: ProcId, to: ProcId, _at: SimTime, bytes: usize) {
+        self.0.lock().unwrap().push((from, to, bytes));
+    }
+}
+
+/// The fingerprint script on `BridgeConfig::paper(4)`: create, 12
+/// appends, 3 overwrites, two more files on custom node sets (one listed
+/// out of machine order), and a `DeleteMany` of all three. Returns the
+/// reply transcript, the freed-block count, the kernel's `RunStats`, and
+/// an FNV-1a digest of the server's send order (destination and size of
+/// every message it posts).
+fn fingerprint(durability: Durability, redundancy: Redundancy) -> (Vec<String>, u64, String, u64) {
+    let sends = Arc::new(Sends::default());
+    let mut config = BridgeConfig::paper(BREADTH)
+        .with_redundancy(redundancy)
+        .with_durability(durability);
+    config.tracer = Some(sends.clone());
+    let (mut sim, machine) = BridgeMachine::build(&config);
     let server = machine.server;
-    let lfs = machine.lfs.clone();
-    sim.block_on(machine.frontend, "app", move |ctx| {
+    let (log, freed) = sim.block_on(machine.frontend, "app", move |ctx| {
         let mut bridge = BridgeClient::new(server);
-        let victim = 1usize;
-        let spec = |redundancy| CreateSpec {
-            redundancy,
+        let mut log = Vec::new();
+        let a = bridge.create(ctx, CreateSpec::default()).unwrap();
+        log.push(format!("create {a:?}"));
+        for i in 0..12 {
+            let n = bridge.seq_write(ctx, a, record(1, i));
+            log.push(format!("append a[{i}] -> {n:?}"));
+        }
+        for at in [0u64, 5, 11] {
+            let r = bridge.rand_write(ctx, a, at, record(2, at));
+            log.push(format!("overwrite a[{at}] -> {r:?}"));
+        }
+        let on = |nodes: Vec<u32>| CreateSpec {
+            nodes: Some(nodes),
             ..CreateSpec::default()
         };
-        let frail = write_file(ctx, &mut bridge, 5, 7, spec(Redundancy::None));
-        let sturdy = write_file(ctx, &mut bridge, 6, 6, spec(Redundancy::Mirror));
-
-        set_failed(ctx, lfs[victim], true);
-        let err = bridge.delete_many(ctx, vec![frail, sturdy]).unwrap_err();
-        assert_eq!(err, BridgeError::Lfs(EfsError::NodeFailed));
-        set_failed(ctx, lfs[victim], false);
-
-        assert_readable(ctx, &mut bridge, frail, 5);
-        assert_readable(ctx, &mut bridge, sturdy, 6);
-        assert!(bridge.delete_many(ctx, vec![frail, sturdy]).unwrap() > 0);
+        let b = bridge.create(ctx, on(vec![3, 1])).unwrap();
+        log.push(format!("create {b:?}"));
+        for i in 0..3 {
+            let n = bridge.seq_write(ctx, b, record(3, i));
+            log.push(format!("append b[{i}] -> {n:?}"));
+        }
+        let c = bridge.create(ctx, on(vec![0, 2])).unwrap();
+        log.push(format!("create {c:?}"));
+        let n = bridge.seq_write(ctx, c, record(4, 0));
+        log.push(format!("append c[0] -> {n:?}"));
+        let freed = bridge.delete_many(ctx, vec![b, a, c]).unwrap();
+        (log, freed)
     });
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for &(from, to, bytes) in sends.0.lock().unwrap().iter() {
+        if from == server {
+            for word in [to.index() as u64, bytes as u64] {
+                digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (log, freed, format!("{:?}", sim.stats()), digest)
+}
+
+/// `RunStats` of the fingerprint script, by [`MODES`] × [`REDUNDANCIES`].
+const FINGERPRINT_STATS: [[&str; 3]; 3] = [
+    [
+        "RunStats { events: 296, messages: 116, spawned: 10, bytes_sent: 24968, queue_high_water: 10, dispatches: 296, syscalls: 412, wakes_elided: 4, ready_peak: 12, end_time: SimTime(855410000) }",
+        "RunStats { events: 497, messages: 186, spawned: 10, bytes_sent: 46208, queue_high_water: 16, dispatches: 497, syscalls: 683, wakes_elided: 20, ready_peak: 20, end_time: SimTime(1017410000) }",
+        "RunStats { events: 551, messages: 214, spawned: 10, bytes_sent: 61216, queue_high_water: 16, dispatches: 551, syscalls: 765, wakes_elided: 20, ready_peak: 20, end_time: SimTime(1082960400) }",
+    ],
+    [
+        "RunStats { events: 307, messages: 116, spawned: 10, bytes_sent: 24968, queue_high_water: 10, dispatches: 307, syscalls: 423, wakes_elided: 4, ready_peak: 12, end_time: SimTime(1341410000) }",
+        "RunStats { events: 495, messages: 186, spawned: 10, bytes_sent: 46208, queue_high_water: 16, dispatches: 495, syscalls: 681, wakes_elided: 20, ready_peak: 20, end_time: SimTime(1425410000) }",
+        "RunStats { events: 549, messages: 214, spawned: 10, bytes_sent: 61216, queue_high_water: 16, dispatches: 549, syscalls: 763, wakes_elided: 20, ready_peak: 20, end_time: SimTime(1820960400) }",
+    ],
+    [
+        "RunStats { events: 363, messages: 132, spawned: 10, bytes_sent: 25728, queue_high_water: 10, dispatches: 363, syscalls: 495, wakes_elided: 0, ready_peak: 10, end_time: SimTime(1485226800) }",
+        "RunStats { events: 879, messages: 246, spawned: 10, bytes_sent: 87492, queue_high_water: 10, dispatches: 879, syscalls: 1125, wakes_elided: 0, ready_peak: 10, end_time: SimTime(3568064300) }",
+        "RunStats { events: 933, messages: 274, spawned: 10, bytes_sent: 102500, queue_high_water: 10, dispatches: 933, syscalls: 1207, wakes_elided: 0, ready_peak: 10, end_time: SimTime(3787614700) }",
+    ],
+];
+
+/// Server send-order digests of the fingerprint script, by [`MODES`] ×
+/// [`REDUNDANCIES`].
+const FINGERPRINT_SENDS: [[u64; 3]; 3] = [
+    [
+        0x6326_c784_48cf_18ee,
+        0xf1e3_07cc_7379_05d6,
+        0x5ee0_6682_e772_6c04,
+    ],
+    [
+        0x6326_c784_48cf_18ee,
+        0xf1e3_07cc_7379_05d6,
+        0x5ee0_6682_e772_6c04,
+    ],
+    [
+        0xdc23_2a77_5fda_819e,
+        0x9e43_4c25_9c6d_4cec,
+        0x0f8a_7f55_47bd_2d48,
+    ],
+];
+
+/// Pins every mode's mutation path: the same replies everywhere, the
+/// freed-block count of each redundancy, and each combination's
+/// `RunStats` and server send order — message for message, event for
+/// event.
+#[test]
+fn mutation_fingerprints_are_pinned() {
+    let mut want_log: Vec<String> = vec!["create BridgeFileId(1)".into()];
+    want_log.extend((0..12).map(|i| format!("append a[{i}] -> Ok({i})")));
+    want_log.extend([0, 5, 11].map(|at| format!("overwrite a[{at}] -> Ok(())")));
+    want_log.push("create BridgeFileId(2)".into());
+    want_log.extend((0..3).map(|i| format!("append b[{i}] -> Ok({i})")));
+    want_log.push("create BridgeFileId(3)".into());
+    want_log.push("append c[0] -> Ok(0)".into());
+    let mut drift = Vec::new();
+    for (d, mode) in MODES.into_iter().enumerate() {
+        for (r, redundancy) in REDUNDANCIES.into_iter().enumerate() {
+            let (log, freed, stats, sends) = fingerprint(mode, redundancy);
+            let label = format!("{mode:?} x {redundancy:?}");
+            assert_eq!(log, want_log, "{label}: transcript");
+            let want_freed = match redundancy {
+                Redundancy::None => 16,
+                Redundancy::Mirror => 32,
+                Redundancy::Parity { .. } => 24,
+            };
+            assert_eq!(freed, want_freed, "{label}: freed blocks");
+            if stats != FINGERPRINT_STATS[d][r] {
+                let want = FINGERPRINT_STATS[d][r];
+                drift.push(format!("{label}\n  want {want}\n  got  {stats}"));
+            }
+            if sends != FINGERPRINT_SENDS[d][r] {
+                let want = FINGERPRINT_SENDS[d][r];
+                drift.push(format!(
+                    "{label} send order\n  want {want:#x}\n  got  {sends:#x}"
+                ));
+            }
+        }
+    }
+    assert!(drift.is_empty(), "RunStats drifted:\n{}", drift.join("\n"));
 }

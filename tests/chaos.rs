@@ -32,7 +32,9 @@
 //! and `crash_seed_corpus_replays_clean` over `tests/fault_seeds/
 //! *.crashseed`.
 
-use bridge_repro::core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, PlacementSpec};
+use bridge_repro::core::{
+    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Durability, PlacementSpec,
+};
 use bridge_repro::parsim::{
     mix64, splitmix64, BlockFaultRule, CrashAt, DiskFaults, FaultPlan, MsgFaults, NodeId, Outage,
     OutageKind, ProcId, RunStats, SimDuration, SimTime, SERVER_DISK,
@@ -172,18 +174,13 @@ fn run_workload(config: &BridgeConfig) -> (Vec<String>, RunStats) {
 }
 
 /// [`run_workload`] on a WAL-era machine: the transcript additionally
-/// ends with a machine-wide `pfsck --check` verdict, so a crash plan must
-/// not only preserve replies and contents but also leave every instance
-/// consistent.
-fn run_wal_workload(config: &BridgeConfig) -> (Vec<String>, RunStats) {
-    run_workload_with(config, true, false)
-}
-
-/// [`run_wal_workload`] on a 2PC machine: the closing pfsck additionally
-/// runs the machine-wide pass (directory vs every instance, orphans
+/// ends with a `pfsck --check` verdict, so a crash plan must not only
+/// preserve replies and contents but also leave every instance
+/// consistent. On a [`Durability::Atomic`] machine the verdict also
+/// covers the machine-wide pass (directory vs every instance, orphans
 /// resolved by the coordinator's logged decisions).
-fn run_two_pc_workload(config: &BridgeConfig) -> (Vec<String>, RunStats) {
-    run_workload_with(config, true, true)
+fn run_wal_workload(config: &BridgeConfig) -> (Vec<String>, RunStats) {
+    run_workload_with(config, true, config.durability == Durability::Atomic)
 }
 
 fn run_workload_with(
@@ -325,16 +322,17 @@ fn check_seed(label: &str, seed: u64) {
     check_plan(label, plan_from_seed(seed));
 }
 
-/// The crash-era headline invariant for one plan, on a WAL machine:
-/// transcript (replies, contents, **and** the closing pfsck verdict)
-/// under crashes+faults+retries equals the fault-free transcript.
-fn check_crash_plan(label: &str, plan: FaultPlan) -> (RunStats, RunStats) {
-    let (baseline, base_stats) = run_wal_workload(&BridgeConfig::instant(BREADTH).with_wal());
-    let (faulted, fault_stats) = run_wal_workload(
-        &BridgeConfig::instant(BREADTH)
-            .with_wal()
-            .with_faults(plan.clone()),
-    );
+/// The crash-era headline invariant for one plan on a `durability`
+/// machine: transcript (replies, contents, **and** the closing pfsck
+/// verdict) under crashes+faults+retries equals the fault-free
+/// transcript. On a [`Durability::Atomic`] machine this is machine-wide
+/// atomicity: a coordinator crash on a BEGIN write leaves an in-doubt
+/// transaction that presumed-abort recovery must roll back; a crash on a
+/// COMMIT write must still complete the decided transaction everywhere.
+fn check_crash_plan(durability: Durability, label: &str, plan: FaultPlan) -> (RunStats, RunStats) {
+    let config = BridgeConfig::instant(BREADTH).with_durability(durability);
+    let (baseline, base_stats) = run_wal_workload(&config);
+    let (faulted, fault_stats) = run_wal_workload(&config.with_faults(plan.clone()));
     if baseline == faulted {
         return (base_stats, fault_stats);
     }
@@ -345,11 +343,11 @@ fn check_crash_plan(label: &str, plan: FaultPlan) -> (RunStats, RunStats) {
         .unwrap_or_else(|| baseline.len().min(faulted.len()));
     record_failure(plan.seed, "crashseed");
     panic!(
-        "crash invariant violated ({label}, plan seed {seed}):\n\
+        "{durability:?} crash invariant violated ({label}, plan seed {seed}):\n\
          first divergence at reply {divergence}:\n\
            fault-free: {base:?}\n\
            faulted:    {fault:?}\n\
-         replay with: CRASH_REPLAY={seed} cargo test --test chaos crash_soak\n\
+         replay a Wal plan with: CRASH_REPLAY={seed} cargo test --test chaos crash_soak\n\
          plan: {plan:?}",
         seed = plan.seed,
         base = baseline.get(divergence),
@@ -358,41 +356,7 @@ fn check_crash_plan(label: &str, plan: FaultPlan) -> (RunStats, RunStats) {
 }
 
 fn check_crash_seed(label: &str, seed: u64) {
-    check_crash_plan(label, crash_plan_from_seed(seed));
-}
-
-/// The machine-atomicity invariant for one plan, on a 2PC machine:
-/// transcript — replies, contents, and the closing machine-wide pfsck
-/// verdict — under node kills *and* a coordinator fail-stop equals the
-/// fault-free transcript. A crash on a BEGIN write leaves an in-doubt
-/// transaction that presumed-abort recovery must roll back; a crash on a
-/// COMMIT write must still complete the decided transaction everywhere.
-fn check_two_pc_crash_plan(label: &str, plan: FaultPlan) {
-    let (baseline, _) = run_two_pc_workload(&BridgeConfig::instant(BREADTH).with_2pc());
-    let (faulted, _) = run_two_pc_workload(
-        &BridgeConfig::instant(BREADTH)
-            .with_2pc()
-            .with_faults(plan.clone()),
-    );
-    if baseline == faulted {
-        return;
-    }
-    let divergence = baseline
-        .iter()
-        .zip(faulted.iter())
-        .position(|(b, f)| b != f)
-        .unwrap_or_else(|| baseline.len().min(faulted.len()));
-    record_failure(plan.seed, "crashseed");
-    panic!(
-        "machine atomicity violated ({label}, plan seed {seed}):\n\
-         first divergence at reply {divergence}:\n\
-           fault-free: {base:?}\n\
-           faulted:    {fault:?}\n\
-         plan: {plan:?}",
-        seed = plan.seed,
-        base = baseline.get(divergence),
-        fault = faulted.get(divergence),
-    );
+    check_crash_plan(Durability::Wal, label, crash_plan_from_seed(seed));
 }
 
 /// A mid-rate everything-on plan for tests that need fault activity
@@ -524,7 +488,11 @@ fn crash_seed_corpus_replays_clean() {
 #[test]
 fn two_pc_crash_seed_corpus_replays_clean() {
     for seed in corpus_seeds("crashseed") {
-        check_two_pc_crash_plan("2pc crash corpus", two_pc_crash_plan_from_seed(seed));
+        check_crash_plan(
+            Durability::Atomic,
+            "2pc crash corpus",
+            two_pc_crash_plan_from_seed(seed),
+        );
     }
 }
 
@@ -681,6 +649,7 @@ fn inert_crash_plan_is_bit_identical() {
 #[test]
 fn crash_mid_run_converges() {
     let (base, faulted) = check_crash_plan(
+        Durability::Wal,
         "mid-run crash",
         FaultPlan {
             seed: 17,
@@ -708,6 +677,7 @@ fn crash_mid_run_converges() {
 #[test]
 fn crash_with_duplicate_storm_replays_committed_ops() {
     let (base, faulted) = check_crash_plan(
+        Durability::Wal,
         "crash + dup storm",
         FaultPlan {
             seed: 18,

@@ -28,8 +28,8 @@
 //!   the CI pfsck-smoke step runs on every push.
 
 use bridge_repro::core::{
-    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, MachineManifest,
-    ManifestEntry, PlacementSpec, Redundancy,
+    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, Durability,
+    MachineManifest, ManifestEntry, PlacementSpec, Redundancy,
 };
 use bridge_repro::efs::{
     set_failed, spawn_lfs, CorruptionKind, Efs, EfsConfig, LfsClient, LfsData, LfsFileId, LfsOp,
@@ -177,16 +177,17 @@ fn sweep_workload(config: &BridgeConfig) -> (Vec<String>, Vec<u64>, u64) {
     })
 }
 
-/// The fault-free reference run, computed once per process.
-fn reference() -> &'static (Vec<String>, Vec<u64>, u64) {
-    static REF: OnceLock<(Vec<String>, Vec<u64>, u64)> = OnceLock::new();
-    REF.get_or_init(|| sweep_workload(&BridgeConfig::instant(BREADTH).with_wal()))
+/// The sweep machine in durability mode `durability`.
+fn machine(durability: Durability) -> BridgeConfig {
+    BridgeConfig::instant(BREADTH).with_durability(durability)
 }
 
-/// The fault-free reference run on the two-phase-commit machine.
-fn reference_2pc() -> &'static (Vec<String>, Vec<u64>, u64) {
-    static REF: OnceLock<(Vec<String>, Vec<u64>, u64)> = OnceLock::new();
-    REF.get_or_init(|| sweep_workload(&BridgeConfig::instant(BREADTH).with_2pc()))
+/// The fault-free reference run on a `durability` machine, computed once
+/// per process.
+fn reference(durability: Durability) -> &'static (Vec<String>, Vec<u64>, u64) {
+    type Reference = (Vec<String>, Vec<u64>, u64);
+    static REFS: [OnceLock<Reference>; 3] = [const { OnceLock::new() }; 3];
+    REFS[durability as usize].get_or_init(|| sweep_workload(&machine(durability)))
 }
 
 /// Machine-wide mutations in the sweep workload: two Creates and one
@@ -195,41 +196,19 @@ fn reference_2pc() -> &'static (Vec<String>, Vec<u64>, u64) {
 /// server-kill ordinal space at `2 * SWEEP_MACHINE_OPS`.
 const SWEEP_MACHINE_OPS: u64 = 3;
 
-/// Runs the sweep workload under `crashes` on `base` and asserts the
-/// transcript is identical to `baseline`.
-fn check_crashes_on(label: &str, base: BridgeConfig, baseline: &[String], crashes: Vec<CrashAt>) {
+/// Runs the sweep workload under `crashes` on a `durability` machine and
+/// asserts the transcript is identical to the fault-free reference.
+fn check_crashes(durability: Durability, label: &str, crashes: Vec<CrashAt>) {
+    let (baseline, _, _) = reference(durability);
     let plan = FaultPlan {
         seed: 0x0C4A_0007,
         crashes,
         ..FaultPlan::none()
     };
-    let (crashed, _, _) = sweep_workload(&base.with_faults(plan.clone()));
+    let (crashed, _, _) = sweep_workload(&machine(durability).with_faults(plan.clone()));
     assert_eq!(
-        crashed, baseline,
+        &crashed, baseline,
         "crash invariant violated ({label}): plan {plan:?}"
-    );
-}
-
-/// Runs the sweep workload under `crashes` and asserts the transcript is
-/// identical to the fault-free reference.
-fn check_crashes(label: &str, crashes: Vec<CrashAt>) {
-    let (baseline, _, _) = reference();
-    check_crashes_on(
-        label,
-        BridgeConfig::instant(BREADTH).with_wal(),
-        baseline,
-        crashes,
-    );
-}
-
-/// The 2PC variant of [`check_crashes`].
-fn check_crashes_2pc(label: &str, crashes: Vec<CrashAt>) {
-    let (baseline, _, _) = reference_2pc();
-    check_crashes_on(
-        label,
-        BridgeConfig::instant(BREADTH).with_2pc(),
-        baseline,
-        crashes,
     );
 }
 
@@ -240,13 +219,14 @@ fn check_crashes_2pc(label: &str, crashes: Vec<CrashAt>) {
 /// require the acknowledged state to survive every cut.
 #[test]
 fn crash_at_every_write_preserves_acknowledged_state() {
-    let (_, writes, _) = reference();
+    let (_, writes, _) = reference(Durability::Wal);
     assert_eq!(writes.len(), BREADTH as usize);
     let mut swept = 0u64;
     for (disk, &n) in writes.iter().enumerate() {
         assert!(n > 0, "disk {disk} never wrote — workload too small");
         for k in 1..=n {
             check_crashes(
+                Durability::Wal,
                 &format!("disk {disk}, write {k}/{n}"),
                 vec![CrashAt {
                     disk: disk as u32,
@@ -265,7 +245,10 @@ fn crash_at_every_write_preserves_acknowledged_state() {
 /// verdict with its machine-wide pass — matches the plain WAL machine's.
 #[test]
 fn fault_free_two_pc_transcript_matches_wal_machine() {
-    assert_eq!(reference_2pc().0, reference().0);
+    assert_eq!(
+        reference(Durability::Atomic).0,
+        reference(Durability::Wal).0
+    );
 }
 
 /// The headline 2PC sweep: fail-stop the *coordinator* on every
@@ -281,7 +264,8 @@ fn fault_free_two_pc_transcript_matches_wal_machine() {
 fn server_kill_at_every_decision_point_preserves_atomicity() {
     let n = 2 * SWEEP_MACHINE_OPS;
     for k in 1..=n + 1 {
-        check_crashes_2pc(
+        check_crashes(
+            Durability::Atomic,
             &format!("server write {k}/{n}"),
             vec![CrashAt {
                 disk: SERVER_DISK,
@@ -298,7 +282,7 @@ fn server_kill_at_every_decision_point_preserves_atomicity() {
 /// least the 300 ms down window in virtual time.
 #[test]
 fn server_kill_sweep_is_not_inert() {
-    let &(_, _, fault_free) = reference_2pc();
+    let &(_, _, fault_free) = reference(Durability::Atomic);
     let plan = FaultPlan {
         seed: 0x0C4A_0007,
         crashes: vec![CrashAt {
@@ -308,8 +292,7 @@ fn server_kill_sweep_is_not_inert() {
         }],
         ..FaultPlan::none()
     };
-    let (_, _, crashed) =
-        sweep_workload(&BridgeConfig::instant(BREADTH).with_2pc().with_faults(plan));
+    let (_, _, crashed) = sweep_workload(&machine(Durability::Atomic).with_faults(plan));
     assert!(
         crashed >= fault_free + SimDuration::from_millis(300).as_nanos(),
         "the coordinator kill never fired: {crashed} vs fault-free {fault_free}"
@@ -322,13 +305,14 @@ fn server_kill_sweep_is_not_inert() {
 /// the DECIDE records (a node dies mid-finalization and must replay it).
 #[test]
 fn crash_at_every_lfs_write_under_2pc_preserves_atomicity() {
-    let (_, writes, _) = reference_2pc();
+    let (_, writes, _) = reference(Durability::Atomic);
     assert_eq!(writes.len(), BREADTH as usize);
     let mut swept = 0u64;
     for (disk, &n) in writes.iter().enumerate() {
         assert!(n > 0, "disk {disk} never wrote — workload too small");
         for k in 1..=n {
-            check_crashes_2pc(
+            check_crashes(
+                Durability::Atomic,
                 &format!("2pc disk {disk}, write {k}/{n}"),
                 vec![CrashAt {
                     disk: disk as u32,
@@ -355,7 +339,7 @@ proptest! {
     /// and down windows) on the sweep workload: same invariant.
     #[test]
     fn random_crash_schedules_preserve_acknowledged_state(seed in any::<u64>()) {
-        let (_, writes, _) = reference();
+        let (_, writes, _) = reference(Durability::Wal);
         let max_writes = writes.iter().copied().max().unwrap_or(1);
         let mut s = mix64(seed, 0x5EED_0C4A);
         let mut draw = move || splitmix64(&mut s);
@@ -369,14 +353,14 @@ proptest! {
                 down: SimDuration::from_millis(100 + draw() % 1_200),
             });
         }
-        check_crashes("random schedule", crashes);
+        check_crashes(Durability::Wal, "random schedule", crashes);
     }
 
     /// Seeded schedules on the 2PC machine mixing coordinator kills with
     /// node kills — in-doubt windows stacked on participant recoveries.
     #[test]
     fn random_schedules_mixing_server_and_node_kills_under_2pc(seed in any::<u64>()) {
-        let (_, writes, _) = reference_2pc();
+        let (_, writes, _) = reference(Durability::Atomic);
         let max_writes = writes.iter().copied().max().unwrap_or(1);
         let mut s = mix64(seed, 0x5EED_2BC0);
         let mut draw = move || splitmix64(&mut s);
@@ -394,7 +378,7 @@ proptest! {
                 down: SimDuration::from_millis(100 + draw() % 1_200),
             });
         }
-        check_crashes_2pc("random 2pc schedule", crashes);
+        check_crashes(Durability::Atomic, "random 2pc schedule", crashes);
     }
 }
 
