@@ -37,6 +37,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod sched;
+mod store;
 
 pub use sched::{RequestQueue, SchedConfig, SchedPolicy};
 
@@ -46,6 +47,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
+use store::BlockStore;
 
 /// Maximum failed attempts the simulated device driver absorbs per request
 /// before giving up with [`DiskError::Transient`]. Fault plans whose
@@ -625,7 +627,8 @@ pub trait BlockDevice: Send + std::fmt::Debug {
 pub struct SimDisk {
     geometry: DiskGeometry,
     profile: DiskProfile,
-    blocks: Vec<Option<Bytes>>,
+    /// Block images, one page per written track (see [`BlockStore`]).
+    blocks: BlockStore,
     buffered_track: Option<u32>,
     /// Which blocks of `buffered_track` actually hold media data: all of
     /// them after a full-track load, only the transferred ones after
@@ -662,7 +665,7 @@ impl SimDisk {
         SimDisk {
             geometry,
             profile,
-            blocks: vec![None; geometry.capacity_blocks() as usize],
+            blocks: BlockStore::new(geometry),
             buffered_track: None,
             buffered_valid: vec![false; geometry.blocks_per_track as usize],
             write_behind: None,
@@ -865,10 +868,10 @@ impl SimDisk {
         self.stats
     }
 
-    fn check_addr(&self, addr: BlockAddr) -> Result<usize, DiskError> {
+    fn check_addr(&self, addr: BlockAddr) -> Result<(), DiskError> {
         let cap = self.geometry.capacity_blocks();
         if addr.0 < cap {
-            Ok(addr.0 as usize)
+            Ok(())
         } else {
             Err(DiskError::OutOfRange {
                 addr,
@@ -1032,7 +1035,7 @@ impl SimDisk {
     /// [`DiskError::Transient`] under an unbounded fault rule.
     pub fn read(&mut self, ctx: &mut Ctx, addr: BlockAddr) -> Result<Bytes, DiskError> {
         self.check_alive()?;
-        let idx = self.check_addr(addr)?;
+        self.check_addr(addr)?;
         let extra = self.fault_penalty(ctx, &[addr])?;
         let track = self.geometry.track_of(addr);
         self.stats.reads += 1;
@@ -1072,10 +1075,10 @@ impl SimDisk {
             );
         }
         self.publish();
-        match &self.blocks[idx] {
-            Some(data) => Ok(data.clone()),
-            None => Err(DiskError::Unwritten { addr }),
-        }
+        self.blocks
+            .get(addr.0)
+            .cloned()
+            .ok_or(DiskError::Unwritten { addr })
     }
 
     /// Reads a run of blocks as one device request: the same track-buffer
@@ -1094,9 +1097,8 @@ impl SimDisk {
         addrs: &[BlockAddr],
     ) -> Result<Vec<Bytes>, DiskError> {
         self.check_alive()?;
-        let mut idxs = Vec::with_capacity(addrs.len());
         for &addr in addrs {
-            idxs.push(self.check_addr(addr)?);
+            self.check_addr(addr)?;
         }
         let mut position = self.fault_penalty(ctx, addrs)?;
         let mut transfer = SimDuration::ZERO;
@@ -1137,11 +1139,12 @@ impl SimDisk {
             );
         }
         self.publish();
-        idxs.iter()
-            .zip(addrs)
-            .map(|(&idx, &addr)| {
-                self.blocks[idx]
-                    .clone()
+        addrs
+            .iter()
+            .map(|&addr| {
+                self.blocks
+                    .get(addr.0)
+                    .cloned()
                     .ok_or(DiskError::Unwritten { addr })
             })
             .collect()
@@ -1209,7 +1212,7 @@ impl SimDisk {
             for &i in group {
                 let (addr, data) = &writes[i];
                 self.stats.writes += 1;
-                self.blocks[addr.0 as usize] = Some(data.clone());
+                self.blocks.set(addr.0, Some(data.clone()));
                 self.buffer_note_write(*addr);
                 if self.note_write_crash() {
                     // The run tore here: this block persisted, the rest of
@@ -1258,7 +1261,7 @@ impl SimDisk {
     /// [`DiskError::OutOfRange`] or [`DiskError::WrongBlockSize`].
     pub fn write(&mut self, ctx: &mut Ctx, addr: BlockAddr, data: &[u8]) -> Result<(), DiskError> {
         self.check_alive()?;
-        let idx = self.check_addr(addr)?;
+        self.check_addr(addr)?;
         if data.len() != self.geometry.block_size {
             return Err(DiskError::WrongBlockSize {
                 provided: data.len(),
@@ -1287,7 +1290,7 @@ impl SimDisk {
                 ],
             );
         }
-        self.blocks[idx] = Some(Bytes::copy_from_slice(data));
+        self.blocks.set(addr.0, Some(Bytes::copy_from_slice(data)));
         // The controller retains the image of the block it just transferred
         // — and only that block: the rest of the track was never read, so a
         // later read of a neighbor must still pay positioning. (A
@@ -1312,10 +1315,7 @@ impl SimDisk {
         if self.lost {
             return None;
         }
-        self.blocks
-            .get(addr.0 as usize)
-            .and_then(|b| b.as_ref())
-            .map(|b| b.as_ref())
+        self.blocks.get(addr.0).map(|b| b.as_ref())
     }
 
     /// Writes a block without charging time (formatting, tests).
@@ -1324,27 +1324,26 @@ impl SimDisk {
     ///
     /// Panics if `addr` is out of range or `data` is not one block long.
     pub fn write_raw(&mut self, addr: BlockAddr, data: &[u8]) {
-        let idx = self
-            .check_addr(addr)
+        self.check_addr(addr)
             .unwrap_or_else(|e| panic!("write_raw: {e}"));
         assert_eq!(
             data.len(),
             self.geometry.block_size,
             "write_raw: data must be exactly one block"
         );
-        self.blocks[idx] = Some(Bytes::copy_from_slice(data));
+        self.blocks.set(addr.0, Some(Bytes::copy_from_slice(data)));
     }
 
     /// Marks a block as unwritten without charging time.
     pub fn clear_raw(&mut self, addr: BlockAddr) {
-        if let Ok(idx) = self.check_addr(addr) {
-            self.blocks[idx] = None;
+        if self.check_addr(addr).is_ok() {
+            self.blocks.set(addr.0, None);
         }
     }
 
     /// Number of blocks currently holding data.
     pub fn blocks_in_use(&self) -> u32 {
-        self.blocks.iter().filter(|b| b.is_some()).count() as u32
+        self.blocks.in_use()
     }
 }
 
