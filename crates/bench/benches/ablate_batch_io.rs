@@ -236,12 +236,12 @@ fn sweep_copy(blocks: u64, profiler: &mut Profiler) {
         count(unbatched),
         count(batched)
     );
+    tracked.push(Metric::higher("copy_p32_depth8.msg_reduction", reduction));
+    emit("ablate_batch_io", &tracked);
     assert!(
         reduction >= 5.0,
         "expected >=5x message reduction at p=32 depth=8, got {reduction:.2}x"
     );
-    tracked.push(Metric::higher("copy_p32_depth8.msg_reduction", reduction));
-    emit("ablate_batch_io", &tracked);
 }
 
 fn main() {

@@ -586,7 +586,7 @@ impl Server {
             return HealthSnapshot::empty(ctx.now());
         };
         let lost = (0..reg.breadth())
-            .filter(|&i| reg.lfs(i).snapshot().media_lost)
+            .filter(|&i| reg.lfs(i).with(|l| l.media_lost))
             .count() as u64;
         reg.server().set_columns_lost(lost);
         reg.server().set_lfs_resends(self.client.resends());

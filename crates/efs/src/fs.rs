@@ -16,7 +16,7 @@ use crate::layout::{
     EFS_HEADER_SIZE, EFS_PAYLOAD,
 };
 use crate::wal::{scan_and_resume, PrepareIntent, RecoveredOp, Wal, WalConfig, WalRecord};
-use bridge_trace::{FsGauges, LfsCounters, LfsTelemetry, TelemetryRegistry};
+use bridge_trace::{DiskTelemetry, LfsCounters, LfsTelemetry, TelemetryRegistry};
 use bytes::{Buf, BufMut, Bytes};
 use parsim::{Ctx, SimDuration};
 use simdisk::{BlockAddr, BlockDevice, SimDisk};
@@ -160,6 +160,22 @@ pub struct EfsTelemetry {
     pub index: u32,
     /// This instance's live counters.
     pub counters: Arc<LfsCounters>,
+}
+
+/// The registry's view of a device's counters: the one conversion from
+/// [`DiskStats`](simdisk::DiskStats) to [`DiskTelemetry`], with `lost`
+/// the medium's permanent-loss flag.
+pub fn disk_telemetry(d: &simdisk::DiskStats, lost: bool) -> DiskTelemetry {
+    DiskTelemetry {
+        reads: d.reads,
+        writes: d.writes,
+        buffer_hits: d.buffer_hits,
+        track_loads: d.track_loads,
+        head_travel: d.head_travel,
+        transient_faults: d.transient_faults,
+        busy_nanos: d.busy.as_nanos(),
+        lost,
+    }
 }
 
 /// Tentative state held between [`Efs::prepare`] and [`Efs::decide`].
@@ -1701,63 +1717,45 @@ impl<D: BlockDevice> Efs<D> {
         self.telemetry.as_ref()
     }
 
-    /// Publishes the current file-system gauges (WAL ring, group-commit
-    /// width, free space, media state) into the telemetry counters. No-op
-    /// when unarmed.
+    /// Publishes the current gauges (WAL ring, group-commit width, free
+    /// space, media state, and the device's own counters) into the
+    /// telemetry registry. No-op when unarmed.
     pub fn publish_telemetry(&self) {
-        let Some(t) = &self.telemetry else { return };
-        let (wal_commits, wal_checkpoints) = self.wal_counters();
-        let (used, capacity) = self.wal_ring_usage();
-        t.counters.publish_fs(FsGauges {
-            wal_enabled: self.wal_enabled(),
-            wal_commits,
-            wal_checkpoints,
-            wal_ring_used: u64::from(used),
-            wal_ring_capacity: u64::from(capacity),
-            group_commit_width: u64::from(self.group_commit_width()),
-            free_blocks: u64::from(self.free_blocks()),
-            media_lost: self.media_lost(),
-            crash_down: self.crash_down().is_some(),
-        });
+        if let Some(t) = &self.telemetry {
+            t.counters.with(|l| self.write_gauges(l));
+        }
     }
 
-    /// A complete point-in-time [`LfsTelemetry`] for this instance. The
-    /// disk section is read straight from the device's own
-    /// [`DiskStats`](simdisk::DiskStats) so the snapshot reconciles
-    /// exactly, even mid-operation. Returns gauges-from-accessors with
-    /// zeroed counters when telemetry is unarmed.
+    /// Stores this instance's gauges into `l`: the file-system gauges from
+    /// the accessors above and the disk section from the device's own
+    /// [`DiskStats`](simdisk::DiskStats), so neither can drift from its
+    /// source.
+    pub(crate) fn write_gauges(&self, l: &mut LfsTelemetry) {
+        let (wal_commits, wal_checkpoints) = self.wal_counters();
+        let (used, capacity) = self.wal_ring_usage();
+        l.wal_enabled = self.wal_enabled();
+        l.wal_commits = wal_commits;
+        l.wal_checkpoints = wal_checkpoints;
+        l.wal_ring_used = u64::from(used);
+        l.wal_ring_capacity = u64::from(capacity);
+        l.group_commit_width = u64::from(self.group_commit_width());
+        l.free_blocks = u64::from(self.free_blocks());
+        l.media_lost = self.media_lost();
+        l.crash_down = self.crash_down().is_some();
+        l.disk = disk_telemetry(&self.disk.stats(), l.media_lost);
+    }
+
+    /// A complete point-in-time [`LfsTelemetry`] for this instance, with
+    /// its gauges and disk section read fresh, so the snapshot reconciles
+    /// exactly even mid-batch. Scheduler counters are zero when telemetry
+    /// is unarmed.
     pub fn telemetry_snapshot(&self) -> LfsTelemetry {
-        self.publish_telemetry();
-        let mut snap = match &self.telemetry {
-            Some(t) => t.counters.snapshot(),
-            None => {
-                let counters = LfsCounters::default();
-                let (wal_commits, wal_checkpoints) = self.wal_counters();
-                let (used, capacity) = self.wal_ring_usage();
-                counters.publish_fs(FsGauges {
-                    wal_enabled: self.wal_enabled(),
-                    wal_commits,
-                    wal_checkpoints,
-                    wal_ring_used: u64::from(used),
-                    wal_ring_capacity: u64::from(capacity),
-                    group_commit_width: u64::from(self.group_commit_width()),
-                    free_blocks: u64::from(self.free_blocks()),
-                    media_lost: self.media_lost(),
-                    crash_down: self.crash_down().is_some(),
-                });
-                counters.snapshot()
-            }
-        };
-        let d = self.disk.stats();
-        snap.disk.reads = d.reads;
-        snap.disk.writes = d.writes;
-        snap.disk.buffer_hits = d.buffer_hits;
-        snap.disk.track_loads = d.track_loads;
-        snap.disk.head_travel = d.head_travel;
-        snap.disk.transient_faults = d.transient_faults;
-        snap.disk.busy_nanos = d.busy.as_nanos();
-        snap.disk.lost = self.media_lost();
-        snap
+        let mut l = self
+            .telemetry
+            .as_ref()
+            .map_or_else(LfsTelemetry::default, |t| t.counters.snapshot());
+        self.write_gauges(&mut l);
+        l
     }
 
     // ----- internals ---------------------------------------------------

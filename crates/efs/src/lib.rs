@@ -51,7 +51,9 @@ mod wal;
 
 pub use directory::{DirEntry, BUCKET_CAPACITY};
 pub use error::EfsError;
-pub use fs::{CorruptionKind, Efs, EfsConfig, EfsStats, EfsTelemetry, FileInfo, FsckReport};
+pub use fs::{
+    disk_telemetry, CorruptionKind, Efs, EfsConfig, EfsStats, EfsTelemetry, FileInfo, FsckReport,
+};
 pub use layout::{
     decode_block, decode_header, encode_block, encode_free_block, is_free_block, EfsHeader,
     LfsFileId, BLOCK_MAGIC, BLOCK_SIZE, EFS_HEADER_SIZE, EFS_PAYLOAD, FREE_MAGIC,

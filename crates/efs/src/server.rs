@@ -661,8 +661,8 @@ fn service_batch<D: BlockDevice>(
     let width = efs.group_commit_width().max(1);
     let armed = efs.telemetry().is_some();
     // Per-op measurements accumulate in plain locals and flush to the
-    // registry once per batch, so arming telemetry adds no per-op
-    // atomics or locks to this loop.
+    // registry once per batch, with the gauges, under one lock, so arming
+    // telemetry adds no per-op locks to this loop.
     let mut served = std::mem::take(&mut state.served_scratch);
     served.clear();
     let mut wait_nanos = 0u64;
@@ -724,11 +724,12 @@ fn service_batch<D: BlockDevice>(
         return true;
     }
     if let Some(t) = efs.telemetry() {
-        t.counters
-            .flush_batch(&served, wait_nanos, depth_peak, state.queued.len() as u64);
+        t.counters.with(|l| {
+            l.flush_batch(&served, wait_nanos, depth_peak, state.queued.len() as u64);
+            efs.write_gauges(l);
+        });
     }
     state.served_scratch = served;
-    efs.publish_telemetry();
     for (from, reply) in replies {
         dedup.complete(from, reply.id, ctx.now(), reply.clone());
         let bytes = reply_wire_size(&reply);

@@ -129,7 +129,7 @@ pub fn run_scenario(opts: &TopOptions) -> Vec<HealthSnapshot> {
             // when it answers `GetHealth`; a host-side poll derives it
             // the same way so sampled frames agree with in-band ones.
             let lost = (0..registry.breadth())
-                .filter(|&i| registry.lfs(i).snapshot().media_lost)
+                .filter(|&i| registry.lfs(i).with(|l| l.media_lost))
                 .count() as u64;
             registry.server().set_columns_lost(lost);
             frames

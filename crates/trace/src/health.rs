@@ -6,9 +6,12 @@
 //! module defines the always-on telemetry shared by every layer of the
 //! running machine:
 //!
-//! * [`TelemetryRegistry`] — lock-free counters and gauges (relaxed
-//!   atomics) updated in place by the simulated Bridge Server, the LFS
-//!   schedulers, and the disks. Updates are observation-only: arming the
+//! * [`TelemetryRegistry`] — one home per live counter. Each layer's
+//!   point-in-time view type ([`ServerTelemetry`], [`LfsTelemetry`]) sits
+//!   behind one lock ([`Live`]) and is updated in place by the simulated
+//!   Bridge Server (one lock per request) and the LFS schedulers (one
+//!   lock per service batch). A snapshot is a clone, so it is consistent
+//!   within each layer. Updates are observation-only: arming the
 //!   registry never changes virtual time, scheduling, or
 //!   [`parsim::RunStats`] — the same contract the tracer keeps.
 //! * [`HealthSnapshot`] — the point-in-time view assembled from the
@@ -25,384 +28,124 @@
 //!   snapshot, so a dashboard or operator script sees a degraded machine
 //!   the moment it polls, not after the run.
 //!
-//! The end-of-run snapshot reconciles *exactly* (zero slack) against
-//! `simdisk::DiskStats` and `parsim::RunStats`: disk counters are stored
-//! from the same code paths that maintain `DiskStats`, and the sampler's
-//! final fire hands the kernel's own counters over verbatim.
+//! Disk counters have no live copy of their own: each LFS stores its
+//! device's `simdisk::DiskStats` into its [`LfsTelemetry`] at every batch
+//! boundary, after crash recovery, on media loss, and on spare install.
+//! A mid-run frame's [`DiskTelemetry`] can therefore lag the device by the
+//! batch in flight; at quiescence the snapshot reconciles *exactly* (zero
+//! slack) against `DiskStats`, and the sampler's final fire hands the
+//! kernel's own `RunStats` over verbatim.
+//!
+//! The JSON export and its schema check both read each view's
+//! `fields()` list ([`ServerTelemetry::fields`], [`LfsTelemetry::fields`],
+//! [`DiskTelemetry::fields`]), so a counter's exported name is spelled
+//! once.
 
 use crate::json::{self, Json};
 use crate::metrics::Histogram;
 use parsim::{RunStats, SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
-fn get(c: &AtomicU64) -> u64 {
-    c.load(Ordering::Relaxed)
-}
-
-fn put(c: &AtomicU64, v: u64) {
-    c.store(v, Ordering::Relaxed);
-}
-
-fn add(c: &AtomicU64, v: u64) {
-    c.fetch_add(v, Ordering::Relaxed);
-}
-
-fn peak(c: &AtomicU64, v: u64) {
-    c.fetch_max(v, Ordering::Relaxed);
-}
-
-/// Live per-disk gauges, mirrored from `simdisk::DiskStats` by the disk
-/// model itself (same increment sites), so the final values match the
-/// device's own counters bit for bit.
+/// One layer's live counters: its point-in-time view type behind one
+/// lock. Writers update the view in place; a snapshot is a clone.
 #[derive(Debug, Default)]
-pub struct DiskCounters {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    buffer_hits: AtomicU64,
-    track_loads: AtomicU64,
-    head_travel: AtomicU64,
-    transient_faults: AtomicU64,
-    busy_nanos: AtomicU64,
-    lost: AtomicBool,
+pub struct Live<T>(Mutex<T>);
+
+impl<T> Live<T> {
+    /// Runs `f` on the counters under the lock.
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        f(&mut self.0.lock().expect("telemetry counters poisoned"))
+    }
 }
 
-impl DiskCounters {
-    /// Stores the device's current counters (field-for-field from its
-    /// `DiskStats`). Idempotent stores, not increments, so the mirror can
-    /// never drift from the device.
-    #[allow(clippy::too_many_arguments)]
-    pub fn store_stats(
-        &self,
-        reads: u64,
-        writes: u64,
-        buffer_hits: u64,
-        track_loads: u64,
-        head_travel: u64,
-        transient_faults: u64,
-        busy_nanos: u64,
-    ) {
-        put(&self.reads, reads);
-        put(&self.writes, writes);
-        put(&self.buffer_hits, buffer_hits);
-        put(&self.track_loads, track_loads);
-        put(&self.head_travel, head_travel);
-        put(&self.transient_faults, transient_faults);
-        put(&self.busy_nanos, busy_nanos);
-    }
-
-    /// Flags the medium as permanently lost (or racked back in).
-    pub fn set_lost(&self, lost: bool) {
-        self.lost.store(lost, Ordering::Relaxed);
-    }
-
+impl<T: Clone> Live<T> {
     /// The current point-in-time view.
-    pub fn snapshot(&self) -> DiskTelemetry {
-        DiskTelemetry {
-            reads: get(&self.reads),
-            writes: get(&self.writes),
-            buffer_hits: get(&self.buffer_hits),
-            track_loads: get(&self.track_loads),
-            head_travel: get(&self.head_travel),
-            transient_faults: get(&self.transient_faults),
-            busy_nanos: get(&self.busy_nanos),
-            lost: self.lost.load(Ordering::Relaxed),
-        }
+    pub fn snapshot(&self) -> T {
+        self.with(|t| t.clone())
     }
 }
 
-/// File-system-level gauges one LFS publishes after every service batch
-/// (copied from the `Efs` accessors, so they can never drift from it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FsGauges {
-    /// Whether the write-ahead log is armed.
-    pub wal_enabled: bool,
-    /// Intent records appended to the WAL ring so far.
-    pub wal_commits: u64,
-    /// Commit records written so far.
-    pub wal_checkpoints: u64,
-    /// Live (un-checkpointed) blocks in the WAL ring right now.
-    pub wal_ring_used: u64,
-    /// The WAL ring's capacity in blocks (0 when disabled).
-    pub wal_ring_capacity: u64,
-    /// Group-commit width (mutations drained per commit record).
-    pub group_commit_width: u64,
-    /// Free data blocks on the instance.
-    pub free_blocks: u64,
-    /// The medium is permanently gone (no spare racked in yet).
-    pub media_lost: bool,
-    /// The node is inside a crash outage window.
-    pub crash_down: bool,
-}
-
-/// Live gauges for one LFS instance: its disk mirror, file-system
-/// gauges, and the request scheduler's queue/batch/service counters.
-#[derive(Debug)]
-pub struct LfsCounters {
-    disk: Arc<DiskCounters>,
-    wal_enabled: AtomicBool,
-    wal_commits: AtomicU64,
-    wal_checkpoints: AtomicU64,
-    wal_ring_used: AtomicU64,
-    wal_ring_capacity: AtomicU64,
-    group_commit_width: AtomicU64,
-    free_blocks: AtomicU64,
-    media_lost: AtomicBool,
-    crash_down: AtomicBool,
-    ops_served: AtomicU64,
-    batches: AtomicU64,
-    batched_ops: AtomicU64,
-    batch_max: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    queue_waits: AtomicU64,
-    queue_wait_nanos: AtomicU64,
-    service: Mutex<Histogram>,
-}
-
-impl Default for LfsCounters {
-    fn default() -> Self {
-        LfsCounters {
-            disk: Arc::new(DiskCounters::default()),
-            wal_enabled: AtomicBool::new(false),
-            wal_commits: AtomicU64::new(0),
-            wal_checkpoints: AtomicU64::new(0),
-            wal_ring_used: AtomicU64::new(0),
-            wal_ring_capacity: AtomicU64::new(0),
-            group_commit_width: AtomicU64::new(0),
-            free_blocks: AtomicU64::new(0),
-            media_lost: AtomicBool::new(false),
-            crash_down: AtomicBool::new(false),
-            ops_served: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_ops: AtomicU64::new(0),
-            batch_max: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_depth_peak: AtomicU64::new(0),
-            queue_waits: AtomicU64::new(0),
-            queue_wait_nanos: AtomicU64::new(0),
-            service: Mutex::new(Histogram::default()),
-        }
-    }
-}
-
-impl LfsCounters {
-    /// The disk mirror this instance's device stores into.
-    pub fn disk(&self) -> &Arc<DiskCounters> {
-        &self.disk
-    }
-
-    /// Notes one drained service batch of `ops` operations.
-    pub fn note_batch(&self, ops: u64) {
-        add(&self.batches, 1);
-        add(&self.batched_ops, ops);
-        peak(&self.batch_max, ops);
-    }
-
-    /// Notes one request leaving the queue after `wait_nanos` in it, with
-    /// `depth` requests pending at service start (itself included).
-    pub fn note_queue_wait(&self, wait_nanos: u64, depth: u64) {
-        add(&self.queue_waits, 1);
-        add(&self.queue_wait_nanos, wait_nanos);
-        peak(&self.queue_depth_peak, depth);
-    }
-
-    /// Publishes the queue's current depth.
-    pub fn set_queue_depth(&self, depth: u64) {
-        put(&self.queue_depth, depth);
-        peak(&self.queue_depth_peak, depth);
-    }
-
-    /// Notes one serviced operation taking `service_nanos` of virtual
-    /// time (queue wait excluded).
-    pub fn note_served(&self, service_nanos: u64) {
-        add(&self.ops_served, 1);
-        self.service
-            .lock()
-            .expect("service histogram poisoned")
-            .record(service_nanos);
-    }
-
-    /// Flushes one drained service batch's per-op measurements in a
-    /// single registry transaction: `served[i]` is operation `i`'s
-    /// service time, `wait_nanos` the batch's summed queue wait,
-    /// `depth_peak` the highest queue depth seen at a service start,
-    /// and `queue_depth` the post-batch depth. The armed hot path: one
-    /// histogram lock and a handful of atomic stores per *batch*, so
-    /// per-op cost stays at plain local arithmetic in the caller.
-    pub fn flush_batch(&self, served: &[u64], wait_nanos: u64, depth_peak: u64, queue_depth: u64) {
-        if !served.is_empty() {
-            let n = served.len() as u64;
-            add(&self.ops_served, n);
-            add(&self.batches, 1);
-            add(&self.batched_ops, n);
-            peak(&self.batch_max, n);
-            add(&self.queue_waits, n);
-            add(&self.queue_wait_nanos, wait_nanos);
-            peak(&self.queue_depth_peak, depth_peak);
-            let mut h = self.service.lock().expect("service histogram poisoned");
-            for &ns in served {
-                h.record(ns);
-            }
-        }
-        put(&self.queue_depth, queue_depth);
-        peak(&self.queue_depth_peak, queue_depth);
-    }
-
-    /// Publishes the file-system gauges (after a batch, a crash recovery,
-    /// or a spare install).
-    pub fn publish_fs(&self, g: FsGauges) {
-        self.wal_enabled.store(g.wal_enabled, Ordering::Relaxed);
-        put(&self.wal_commits, g.wal_commits);
-        put(&self.wal_checkpoints, g.wal_checkpoints);
-        put(&self.wal_ring_used, g.wal_ring_used);
-        put(&self.wal_ring_capacity, g.wal_ring_capacity);
-        put(&self.group_commit_width, g.group_commit_width);
-        put(&self.free_blocks, g.free_blocks);
-        self.media_lost.store(g.media_lost, Ordering::Relaxed);
-        self.crash_down.store(g.crash_down, Ordering::Relaxed);
-        self.disk.set_lost(g.media_lost);
-    }
-
-    /// The current point-in-time view.
-    pub fn snapshot(&self) -> LfsTelemetry {
-        LfsTelemetry {
-            disk: self.disk.snapshot(),
-            wal_enabled: self.wal_enabled.load(Ordering::Relaxed),
-            wal_commits: get(&self.wal_commits),
-            wal_checkpoints: get(&self.wal_checkpoints),
-            wal_ring_used: get(&self.wal_ring_used),
-            wal_ring_capacity: get(&self.wal_ring_capacity),
-            group_commit_width: get(&self.group_commit_width),
-            free_blocks: get(&self.free_blocks),
-            media_lost: self.media_lost.load(Ordering::Relaxed),
-            crash_down: self.crash_down.load(Ordering::Relaxed),
-            ops_served: get(&self.ops_served),
-            batches: get(&self.batches),
-            batched_ops: get(&self.batched_ops),
-            batch_max: get(&self.batch_max),
-            queue_depth: get(&self.queue_depth),
-            queue_depth_peak: get(&self.queue_depth_peak),
-            queue_waits: get(&self.queue_waits),
-            queue_wait_nanos: get(&self.queue_wait_nanos),
-            service: self
-                .service
-                .lock()
-                .expect("service histogram poisoned")
-                .clone(),
-        }
-    }
-}
+/// Live gauges for one LFS instance: disk counters, file-system gauges,
+/// and the request scheduler's queue/batch/service counters.
+pub type LfsCounters = Live<LfsTelemetry>;
 
 /// Live gauges for the Bridge Server: request, two-phase-commit, dedup,
 /// redundancy, and rebuild counters.
-#[derive(Debug, Default)]
-pub struct ServerCounters {
-    ops: AtomicU64,
-    replays: AtomicU64,
-    dedup_occupancy: AtomicU64,
-    dedup_peak: AtomicU64,
-    txns_begun: AtomicU64,
-    txns_committed: AtomicU64,
-    txns_aborted: AtomicU64,
-    txns_in_doubt: AtomicU64,
-    degraded_reads: AtomicU64,
-    columns_lost: AtomicU64,
-    lfs_resends: AtomicU64,
-    rebuilds_started: AtomicU64,
-    rebuilds_done: AtomicU64,
-    rebuild_done_blocks: AtomicU64,
-    rebuild_total_blocks: AtomicU64,
-}
+pub type ServerCounters = Live<ServerTelemetry>;
 
 impl ServerCounters {
     /// Notes one freshly dispatched request, with the dedup window's
     /// occupancy after completion.
     pub fn note_request(&self, dedup_occupancy: u64) {
-        add(&self.ops, 1);
-        put(&self.dedup_occupancy, dedup_occupancy);
-        peak(&self.dedup_peak, dedup_occupancy);
+        self.with(|s| {
+            s.ops += 1;
+            s.dedup_occupancy = dedup_occupancy;
+            s.dedup_peak = s.dedup_peak.max(dedup_occupancy);
+        });
     }
 
     /// Notes one retransmit answered from the dedup window.
     pub fn note_replay(&self) {
-        add(&self.replays, 1);
+        self.with(|s| s.replays += 1);
     }
 
     /// A transaction entered two-phase commit (in doubt until decided).
     pub fn note_txn_begun(&self) {
-        add(&self.txns_begun, 1);
-        add(&self.txns_in_doubt, 1);
+        self.with(|s| {
+            s.txns_begun += 1;
+            s.txns_in_doubt += 1;
+        });
     }
 
     /// A transaction's decision was logged.
     pub fn note_txn_decided(&self, committed: bool) {
-        if committed {
-            add(&self.txns_committed, 1);
-        } else {
-            add(&self.txns_aborted, 1);
-        }
-        let _ = self
-            .txns_in_doubt
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
+        self.with(|s| {
+            if committed {
+                s.txns_committed += 1;
+            } else {
+                s.txns_aborted += 1;
+            }
+            s.txns_in_doubt = s.txns_in_doubt.saturating_sub(1);
+        });
     }
 
     /// A read reconstructed a lost column on the fly.
     pub fn note_degraded_read(&self) {
-        add(&self.degraded_reads, 1);
+        self.with(|s| s.degraded_reads += 1);
     }
 
     /// Publishes how many LFS columns the server currently sees lost.
     pub fn set_columns_lost(&self, n: u64) {
-        put(&self.columns_lost, n);
+        self.with(|s| s.columns_lost = n);
     }
 
     /// Publishes the server's cumulative request-retransmit count.
     pub fn set_lfs_resends(&self, n: u64) {
-        put(&self.lfs_resends, n);
+        self.with(|s| s.lfs_resends = n);
     }
 
     /// A file rebuild began (`total` blocks to walk).
     pub fn note_rebuild_start(&self, total: u64) {
-        add(&self.rebuilds_started, 1);
-        put(&self.rebuild_done_blocks, 0);
-        put(&self.rebuild_total_blocks, total);
+        self.with(|s| {
+            s.rebuilds_started += 1;
+            s.rebuild_done_blocks = 0;
+            s.rebuild_total_blocks = total;
+        });
     }
 
     /// Rebuild progress on the active file.
     pub fn note_rebuild_progress(&self, done: u64, total: u64) {
-        put(&self.rebuild_done_blocks, done);
-        put(&self.rebuild_total_blocks, total);
+        self.with(|s| {
+            s.rebuild_done_blocks = done;
+            s.rebuild_total_blocks = total;
+        });
     }
 
     /// The active rebuild finished.
     pub fn note_rebuild_done(&self) {
-        add(&self.rebuilds_done, 1);
-    }
-
-    /// The current point-in-time view.
-    pub fn snapshot(&self) -> ServerTelemetry {
-        ServerTelemetry {
-            ops: get(&self.ops),
-            replays: get(&self.replays),
-            dedup_occupancy: get(&self.dedup_occupancy),
-            dedup_peak: get(&self.dedup_peak),
-            txns_begun: get(&self.txns_begun),
-            txns_committed: get(&self.txns_committed),
-            txns_aborted: get(&self.txns_aborted),
-            txns_in_doubt: get(&self.txns_in_doubt),
-            degraded_reads: get(&self.degraded_reads),
-            columns_lost: get(&self.columns_lost),
-            lfs_resends: get(&self.lfs_resends),
-            rebuilds_started: get(&self.rebuilds_started),
-            rebuilds_done: get(&self.rebuilds_done),
-            rebuild_done_blocks: get(&self.rebuild_done_blocks),
-            rebuild_total_blocks: get(&self.rebuild_total_blocks),
-        }
+        self.with(|s| s.rebuilds_done += 1);
     }
 }
 
@@ -542,36 +285,26 @@ pub const JOURNAL_CAPACITY: usize = 256;
 
 #[derive(Debug)]
 struct EventJournal {
-    ring: Mutex<VecDeque<JournalEntry>>,
+    ring: VecDeque<JournalEntry>,
     capacity: usize,
-    dropped: AtomicU64,
+    dropped: u64,
 }
 
 impl EventJournal {
     fn new(capacity: usize) -> Self {
         EventJournal {
-            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            ring: VecDeque::with_capacity(capacity),
             capacity,
-            dropped: AtomicU64::new(0),
+            dropped: 0,
         }
     }
 
-    fn record(&self, at: SimTime, event: HealthEvent) {
-        let mut ring = self.ring.lock().expect("journal poisoned");
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            add(&self.dropped, 1);
+    fn record(&mut self, at: SimTime, event: HealthEvent) {
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
         }
-        ring.push_back(JournalEntry { at, event });
-    }
-
-    fn entries(&self) -> Vec<JournalEntry> {
-        self.ring
-            .lock()
-            .expect("journal poisoned")
-            .iter()
-            .copied()
-            .collect()
+        self.ring.push_back(JournalEntry { at, event });
     }
 }
 
@@ -751,7 +484,7 @@ impl WatchdogConfig {
 pub struct TelemetryRegistry {
     server: ServerCounters,
     lfs: Vec<Arc<LfsCounters>>,
-    journal: EventJournal,
+    journal: Live<EventJournal>,
     watchdog: WatchdogConfig,
 }
 
@@ -769,7 +502,7 @@ impl TelemetryRegistry {
             lfs: (0..breadth)
                 .map(|_| Arc::new(LfsCounters::default()))
                 .collect(),
-            journal: EventJournal::new(JOURNAL_CAPACITY),
+            journal: Live(Mutex::new(EventJournal::new(JOURNAL_CAPACITY))),
             watchdog,
         }
     }
@@ -791,7 +524,7 @@ impl TelemetryRegistry {
 
     /// Appends a typed event to the journal at virtual time `at`.
     pub fn record_event(&self, at: SimTime, event: HealthEvent) {
-        self.journal.record(at, event);
+        self.journal.with(|j| j.record(at, event));
     }
 
     /// The configured watchdog rules.
@@ -807,7 +540,9 @@ impl TelemetryRegistry {
     pub fn snapshot(&self, at: SimTime, kernel: Option<RunStats>) -> HealthSnapshot {
         let lfs: Vec<LfsTelemetry> = self.lfs.iter().map(|l| l.snapshot()).collect();
         let server = self.server.snapshot();
-        let events = self.journal.entries();
+        let (events, events_dropped) = self
+            .journal
+            .with(|j| (j.ring.iter().copied().collect::<Vec<_>>(), j.dropped));
         let mut service = Histogram::default();
         for l in &lfs {
             service.merge(&l.service);
@@ -819,14 +554,15 @@ impl TelemetryRegistry {
             server,
             lfs,
             events,
-            events_dropped: get(&self.journal.dropped),
+            events_dropped,
             service,
             alerts,
         }
     }
 }
 
-/// Point-in-time disk counters (mirror of `simdisk::DiskStats`).
+/// Point-in-time disk counters: the instance's `simdisk::DiskStats` as of
+/// its last publish (batch boundary, crash recovery, loss, or spare).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DiskTelemetry {
     /// Blocks read from the medium or its track buffer.
@@ -855,10 +591,25 @@ impl DiskTelemetry {
         }
         self.busy_nanos as f64 / elapsed.as_nanos() as f64
     }
+
+    /// The exported fields, in export order.
+    pub fn fields(&self) -> [(&'static str, FieldValue); 8] {
+        use FieldValue::{Count, Flag};
+        [
+            ("reads", Count(self.reads)),
+            ("writes", Count(self.writes)),
+            ("buffer_hits", Count(self.buffer_hits)),
+            ("track_loads", Count(self.track_loads)),
+            ("head_travel", Count(self.head_travel)),
+            ("transient_faults", Count(self.transient_faults)),
+            ("busy_nanos", Count(self.busy_nanos)),
+            ("lost", Flag(self.lost)),
+        ]
+    }
 }
 
 /// Point-in-time view of one LFS instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LfsTelemetry {
     /// The instance's disk counters.
     pub disk: DiskTelemetry,
@@ -908,6 +659,62 @@ impl LfsTelemetry {
         }
         self.batched_ops as f64 / self.batches as f64
     }
+
+    /// Records one drained service batch: `served[i]` is operation `i`'s
+    /// service time, `wait_nanos` the batch's summed queue wait,
+    /// `depth_peak` the highest queue depth seen at a service start, and
+    /// `queue_depth` the post-batch depth. The scheduler accumulates these
+    /// in plain locals and records them once per batch.
+    pub fn flush_batch(
+        &mut self,
+        served: &[u64],
+        wait_nanos: u64,
+        depth_peak: u64,
+        queue_depth: u64,
+    ) {
+        if !served.is_empty() {
+            let n = served.len() as u64;
+            self.ops_served += n;
+            self.batches += 1;
+            self.batched_ops += n;
+            self.batch_max = self.batch_max.max(n);
+            self.queue_waits += n;
+            self.queue_wait_nanos += wait_nanos;
+            self.queue_depth_peak = self.queue_depth_peak.max(depth_peak);
+            for &ns in served {
+                self.service.record(ns);
+            }
+        }
+        self.queue_depth = queue_depth;
+        self.queue_depth_peak = self.queue_depth_peak.max(queue_depth);
+    }
+
+    /// The exported fields after the nested `disk` object, in export
+    /// order.
+    pub fn fields(&self) -> [(&'static str, FieldValue); 19] {
+        use FieldValue::{Count, Flag};
+        [
+            ("wal_enabled", Flag(self.wal_enabled)),
+            ("wal_commits", Count(self.wal_commits)),
+            ("wal_checkpoints", Count(self.wal_checkpoints)),
+            ("wal_ring_used", Count(self.wal_ring_used)),
+            ("wal_ring_capacity", Count(self.wal_ring_capacity)),
+            ("group_commit_width", Count(self.group_commit_width)),
+            ("free_blocks", Count(self.free_blocks)),
+            ("media_lost", Flag(self.media_lost)),
+            ("crash_down", Flag(self.crash_down)),
+            ("ops_served", Count(self.ops_served)),
+            ("batches", Count(self.batches)),
+            ("batched_ops", Count(self.batched_ops)),
+            ("batch_max", Count(self.batch_max)),
+            ("queue_depth", Count(self.queue_depth)),
+            ("queue_depth_peak", Count(self.queue_depth_peak)),
+            ("queue_waits", Count(self.queue_waits)),
+            ("queue_wait_nanos", Count(self.queue_wait_nanos)),
+            ("service_count", Count(self.service.count())),
+            ("service_p99_ns", Count(self.service.quantile_bound(0.99))),
+        ]
+    }
 }
 
 /// Point-in-time view of the Bridge Server.
@@ -943,6 +750,48 @@ pub struct ServerTelemetry {
     pub rebuild_done_blocks: u64,
     /// Active rebuild: blocks total.
     pub rebuild_total_blocks: u64,
+}
+
+impl ServerTelemetry {
+    /// The exported fields, in export order.
+    pub fn fields(&self) -> [(&'static str, FieldValue); 15] {
+        use FieldValue::Count;
+        [
+            ("ops", Count(self.ops)),
+            ("replays", Count(self.replays)),
+            ("dedup_occupancy", Count(self.dedup_occupancy)),
+            ("dedup_peak", Count(self.dedup_peak)),
+            ("txns_begun", Count(self.txns_begun)),
+            ("txns_committed", Count(self.txns_committed)),
+            ("txns_aborted", Count(self.txns_aborted)),
+            ("txns_in_doubt", Count(self.txns_in_doubt)),
+            ("degraded_reads", Count(self.degraded_reads)),
+            ("columns_lost", Count(self.columns_lost)),
+            ("lfs_resends", Count(self.lfs_resends)),
+            ("rebuilds_started", Count(self.rebuilds_started)),
+            ("rebuilds_done", Count(self.rebuilds_done)),
+            ("rebuild_done_blocks", Count(self.rebuild_done_blocks)),
+            ("rebuild_total_blocks", Count(self.rebuild_total_blocks)),
+        ]
+    }
+}
+
+/// One exported counter's value; the variant is its JSON type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldValue {
+    /// A JSON number.
+    Count(u64),
+    /// A JSON boolean.
+    Flag(bool),
+}
+
+impl fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldValue::Count(n) => write!(f, "{n}"),
+            FieldValue::Flag(b) => write!(f, "{b}"),
+        }
+    }
 }
 
 /// The full machine health view at one virtual instant.
@@ -1136,18 +985,10 @@ fn write_kv(out: &mut String, first: &mut bool, key: &str, value: impl std::fmt:
     let _ = write!(out, ": {value}");
 }
 
-fn write_disk(out: &mut String, d: &DiskTelemetry) {
-    out.push('{');
-    let mut first = true;
-    write_kv(out, &mut first, "reads", d.reads);
-    write_kv(out, &mut first, "writes", d.writes);
-    write_kv(out, &mut first, "buffer_hits", d.buffer_hits);
-    write_kv(out, &mut first, "track_loads", d.track_loads);
-    write_kv(out, &mut first, "head_travel", d.head_travel);
-    write_kv(out, &mut first, "transient_faults", d.transient_faults);
-    write_kv(out, &mut first, "busy_nanos", d.busy_nanos);
-    write_kv(out, &mut first, "lost", d.lost);
-    out.push('}');
+fn write_fields(out: &mut String, first: &mut bool, fields: &[(&str, FieldValue)]) {
+    for (key, value) in fields {
+        write_kv(out, first, key, value);
+    }
 }
 
 /// Serializes one snapshot as a JSON object (the `bridge-top --json`
@@ -1169,73 +1010,18 @@ pub fn snapshot_to_json(snap: &HealthSnapshot) -> String {
         write_kv(&mut out, &mut kf, "end_time_nanos", k.end_time.as_nanos());
         out.push('}');
     }
-    let s = &snap.server;
     out.push_str(", \"server\": {");
-    let mut sf = true;
-    write_kv(&mut out, &mut sf, "ops", s.ops);
-    write_kv(&mut out, &mut sf, "replays", s.replays);
-    write_kv(&mut out, &mut sf, "dedup_occupancy", s.dedup_occupancy);
-    write_kv(&mut out, &mut sf, "dedup_peak", s.dedup_peak);
-    write_kv(&mut out, &mut sf, "txns_begun", s.txns_begun);
-    write_kv(&mut out, &mut sf, "txns_committed", s.txns_committed);
-    write_kv(&mut out, &mut sf, "txns_aborted", s.txns_aborted);
-    write_kv(&mut out, &mut sf, "txns_in_doubt", s.txns_in_doubt);
-    write_kv(&mut out, &mut sf, "degraded_reads", s.degraded_reads);
-    write_kv(&mut out, &mut sf, "columns_lost", s.columns_lost);
-    write_kv(&mut out, &mut sf, "lfs_resends", s.lfs_resends);
-    write_kv(&mut out, &mut sf, "rebuilds_started", s.rebuilds_started);
-    write_kv(&mut out, &mut sf, "rebuilds_done", s.rebuilds_done);
-    write_kv(
-        &mut out,
-        &mut sf,
-        "rebuild_done_blocks",
-        s.rebuild_done_blocks,
-    );
-    write_kv(
-        &mut out,
-        &mut sf,
-        "rebuild_total_blocks",
-        s.rebuild_total_blocks,
-    );
+    write_fields(&mut out, &mut true, &snap.server.fields());
     out.push('}');
     out.push_str(", \"lfs\": [");
     for (i, l) in snap.lfs.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push('{');
-        let mut lf = false;
-        out.push_str("\"disk\": ");
-        write_disk(&mut out, &l.disk);
-        write_kv(&mut out, &mut lf, "wal_enabled", l.wal_enabled);
-        write_kv(&mut out, &mut lf, "wal_commits", l.wal_commits);
-        write_kv(&mut out, &mut lf, "wal_checkpoints", l.wal_checkpoints);
-        write_kv(&mut out, &mut lf, "wal_ring_used", l.wal_ring_used);
-        write_kv(&mut out, &mut lf, "wal_ring_capacity", l.wal_ring_capacity);
-        write_kv(
-            &mut out,
-            &mut lf,
-            "group_commit_width",
-            l.group_commit_width,
-        );
-        write_kv(&mut out, &mut lf, "free_blocks", l.free_blocks);
-        write_kv(&mut out, &mut lf, "media_lost", l.media_lost);
-        write_kv(&mut out, &mut lf, "crash_down", l.crash_down);
-        write_kv(&mut out, &mut lf, "ops_served", l.ops_served);
-        write_kv(&mut out, &mut lf, "batches", l.batches);
-        write_kv(&mut out, &mut lf, "batched_ops", l.batched_ops);
-        write_kv(&mut out, &mut lf, "batch_max", l.batch_max);
-        write_kv(&mut out, &mut lf, "queue_depth", l.queue_depth);
-        write_kv(&mut out, &mut lf, "queue_depth_peak", l.queue_depth_peak);
-        write_kv(&mut out, &mut lf, "queue_waits", l.queue_waits);
-        write_kv(&mut out, &mut lf, "queue_wait_nanos", l.queue_wait_nanos);
-        write_kv(&mut out, &mut lf, "service_count", l.service.count());
-        write_kv(
-            &mut out,
-            &mut lf,
-            "service_p99_ns",
-            l.service.quantile_bound(0.99),
-        );
+        out.push_str("{\"disk\": {");
+        write_fields(&mut out, &mut true, &l.disk.fields());
+        out.push('}');
+        write_fields(&mut out, &mut false, &l.fields());
         out.push('}');
     }
     out.push_str("], \"events\": [");
@@ -1315,11 +1101,17 @@ fn require_num(obj: &Json, key: &str, origin: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{origin}: missing numeric {key:?}"))
 }
 
-fn require_bool(obj: &Json, key: &str, origin: &str) -> Result<bool, String> {
-    match obj.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("{origin}: missing boolean {key:?}")),
+/// Checks that `obj` carries every field of `fields` with its JSON type.
+fn require_fields(obj: &Json, fields: &[(&str, FieldValue)], origin: &str) -> Result<(), String> {
+    for &(key, value) in fields {
+        match (value, obj.get(key)) {
+            (FieldValue::Count(_), Some(Json::Num(_)))
+            | (FieldValue::Flag(_), Some(Json::Bool(_))) => {}
+            (FieldValue::Count(_), _) => return Err(format!("{origin}: missing numeric {key:?}")),
+            (FieldValue::Flag(_), _) => return Err(format!("{origin}: missing boolean {key:?}")),
+        }
     }
+    Ok(())
 }
 
 /// Validates a `bridge-top --json` document against the health-snapshot
@@ -1342,25 +1134,11 @@ pub fn validate_health_json(text: &str) -> Result<usize, String> {
         let server = snap
             .get("server")
             .ok_or_else(|| format!("{origin}: missing \"server\""))?;
-        for key in [
-            "ops",
-            "replays",
-            "dedup_occupancy",
-            "dedup_peak",
-            "txns_begun",
-            "txns_committed",
-            "txns_aborted",
-            "txns_in_doubt",
-            "degraded_reads",
-            "columns_lost",
-            "lfs_resends",
-            "rebuilds_started",
-            "rebuilds_done",
-            "rebuild_done_blocks",
-            "rebuild_total_blocks",
-        ] {
-            require_num(server, key, &format!("{origin} server"))?;
-        }
+        require_fields(
+            server,
+            &ServerTelemetry::default().fields(),
+            &format!("{origin} server"),
+        )?;
         let lfs = snap
             .get("lfs")
             .and_then(Json::as_arr)
@@ -1370,41 +1148,12 @@ pub fn validate_health_json(text: &str) -> Result<usize, String> {
             let disk = l
                 .get("disk")
                 .ok_or_else(|| format!("{lorigin}: missing \"disk\""))?;
-            for key in [
-                "reads",
-                "writes",
-                "buffer_hits",
-                "track_loads",
-                "head_travel",
-                "transient_faults",
-                "busy_nanos",
-            ] {
-                require_num(disk, key, &format!("{lorigin} disk"))?;
-            }
-            require_bool(disk, "lost", &format!("{lorigin} disk"))?;
-            for key in [
-                "wal_commits",
-                "wal_checkpoints",
-                "wal_ring_used",
-                "wal_ring_capacity",
-                "group_commit_width",
-                "free_blocks",
-                "ops_served",
-                "batches",
-                "batched_ops",
-                "batch_max",
-                "queue_depth",
-                "queue_depth_peak",
-                "queue_waits",
-                "queue_wait_nanos",
-                "service_count",
-                "service_p99_ns",
-            ] {
-                require_num(l, key, &lorigin)?;
-            }
-            require_bool(l, "wal_enabled", &lorigin)?;
-            require_bool(l, "media_lost", &lorigin)?;
-            require_bool(l, "crash_down", &lorigin)?;
+            require_fields(
+                disk,
+                &DiskTelemetry::default().fields(),
+                &format!("{lorigin} disk"),
+            )?;
+            require_fields(l, &LfsTelemetry::default().fields(), &lorigin)?;
         }
         let events = snap
             .get("events")
@@ -1456,22 +1205,26 @@ mod tests {
         reg.server().note_txn_begun();
         reg.server().note_txn_decided(true);
         reg.server().note_degraded_read();
-        let l0 = reg.lfs(0);
-        l0.note_batch(4);
-        l0.note_queue_wait(1_000, 2);
-        l0.note_served(50_000);
-        l0.publish_fs(FsGauges {
-            wal_enabled: true,
-            wal_commits: 10,
-            wal_checkpoints: 3,
-            wal_ring_used: 7,
-            wal_ring_capacity: 64,
-            group_commit_width: 8,
-            free_blocks: 900,
-            media_lost: false,
-            crash_down: false,
+        reg.lfs(0).with(|l| {
+            l.flush_batch(&[50_000, 40_000, 30_000, 20_000], 1_000, 2, 0);
+            l.wal_enabled = true;
+            l.wal_commits = 10;
+            l.wal_checkpoints = 3;
+            l.wal_ring_used = 7;
+            l.wal_ring_capacity = 64;
+            l.group_commit_width = 8;
+            l.free_blocks = 900;
+            l.disk = DiskTelemetry {
+                reads: 12,
+                writes: 34,
+                buffer_hits: 5,
+                track_loads: 6,
+                head_travel: 7,
+                transient_faults: 0,
+                busy_nanos: 9_000,
+                lost: false,
+            };
         });
-        l0.disk().store_stats(12, 34, 5, 6, 7, 0, 9_000);
         reg.record_event(SimTime::from_nanos(5), HealthEvent::DiskLost { lfs: 1 });
         reg.server().note_rebuild_start(40);
         reg.record_event(
@@ -1493,7 +1246,9 @@ mod tests {
         assert_eq!(snap.lfs[0].disk.reads, 12);
         assert_eq!(snap.lfs[0].wal_ring_used, 7);
         assert_eq!(snap.lfs[0].batch_mean(), 4.0);
-        assert_eq!(snap.service.count(), 1);
+        assert_eq!(snap.lfs[0].queue_waits, 4);
+        assert_eq!(snap.lfs[0].queue_depth_peak, 2);
+        assert_eq!(snap.service.count(), 4);
         assert!(snap.has_event("disk.lost"));
         assert_eq!(snap.event_time("disk.lost"), Some(SimTime::from_nanos(5)));
     }
@@ -1540,12 +1295,11 @@ mod tests {
     #[test]
     fn watchdog_queue_and_wal_rules() {
         let reg = TelemetryRegistry::new(1);
-        reg.lfs(0).set_queue_depth(48);
-        reg.lfs(0).publish_fs(FsGauges {
-            wal_enabled: true,
-            wal_ring_used: 60,
-            wal_ring_capacity: 64,
-            ..FsGauges::default()
+        reg.lfs(0).with(|l| {
+            l.flush_batch(&[], 0, 0, 48);
+            l.wal_enabled = true;
+            l.wal_ring_used = 60;
+            l.wal_ring_capacity = 64;
         });
         reg.server().set_lfs_resends(9);
         let snap = reg.snapshot(SimTime::from_nanos(1), None);
@@ -1572,13 +1326,119 @@ mod tests {
         assert!(validate_health_json("{\"snapshots\": [{}]}").is_err());
     }
 
+    /// Re-serializes a parsed document (the schema test mutates trees).
+    fn write_json(out: &mut String, v: &Json) {
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => json::write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_json(out, item);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (k, item)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    json::write_str(out, k);
+                    out.push(':');
+                    write_json(out, item);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn members_mut<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+        match v {
+            Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            _ => panic!("not an object"),
+        }
+    }
+
+    fn item_mut(v: &mut Json, i: usize) -> &mut Json {
+        match v {
+            Json::Arr(items) => &mut items[i],
+            _ => panic!("not an array"),
+        }
+    }
+
+    /// Every server, LFS, and disk field is required with its JSON type:
+    /// deleting any one of them, or flipping its type (number <-> bool),
+    /// fails validation.
+    #[test]
+    fn schema_rejects_each_missing_or_mistyped_field() {
+        let snap = populated_registry().snapshot(SimTime::from_nanos(100), None);
+        let doc = json::parse(&snapshots_to_json(&[snap])).unwrap();
+        let reserialize = |d: &Json| {
+            let mut out = String::new();
+            write_json(&mut out, d);
+            out
+        };
+        assert_eq!(validate_health_json(&reserialize(&doc)), Ok(1));
+        fn snapshot0(d: &mut Json) -> &mut Json {
+            item_mut(members_mut(d, "snapshots"), 0)
+        }
+        fn server(d: &mut Json) -> &mut Json {
+            members_mut(snapshot0(d), "server")
+        }
+        fn lfs0(d: &mut Json) -> &mut Json {
+            item_mut(members_mut(snapshot0(d), "lfs"), 0)
+        }
+        fn disk(d: &mut Json) -> &mut Json {
+            members_mut(lfs0(d), "disk")
+        }
+        type Locate = fn(&mut Json) -> &mut Json;
+        type Fields = Vec<(&'static str, FieldValue)>;
+        let lists: [(&str, Locate, Fields); 3] = [
+            ("server", server, ServerTelemetry::default().fields().into()),
+            ("lfs", lfs0, LfsTelemetry::default().fields().into()),
+            ("disk", disk, DiskTelemetry::default().fields().into()),
+        ];
+        let mut checked = 0;
+        for (section, locate, fields) in lists {
+            for (key, _) in fields {
+                let mut missing = doc.clone();
+                match locate(&mut missing) {
+                    Json::Obj(members) => members.retain(|(k, _)| k != key),
+                    _ => unreachable!(),
+                }
+                assert!(
+                    validate_health_json(&reserialize(&missing)).is_err(),
+                    "{section}.{key} deleted yet validated"
+                );
+                let mut mistyped = doc.clone();
+                let value = members_mut(locate(&mut mistyped), key);
+                *value = match value {
+                    Json::Num(_) => Json::Bool(true),
+                    Json::Bool(_) => Json::Num(0.0),
+                    other => panic!("{section}.{key} exported as {other:?}"),
+                };
+                assert!(
+                    validate_health_json(&reserialize(&mistyped)).is_err(),
+                    "{section}.{key} mistyped yet validated"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 15 + 19 + 8);
+    }
+
     #[test]
     fn renderer_mentions_the_load_bearing_state() {
         let reg = populated_registry();
-        reg.lfs(1).publish_fs(FsGauges {
-            media_lost: true,
-            ..FsGauges::default()
-        });
+        reg.lfs(1).with(|l| l.media_lost = true);
         let snap = reg.snapshot(SimTime::from_nanos(2_000_000), None);
         let text = render_snapshot(&snap);
         assert!(text.contains("bridge-top"));

@@ -17,10 +17,10 @@
 use bridge_repro::core::{
     BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, DiskLost, FaultPlan, Redundancy,
 };
-use bridge_repro::efs::{install_spare, LfsClient, LfsData, LfsOp};
-use bridge_repro::parsim::{RunStats, SimDuration};
+use bridge_repro::efs::{disk_telemetry, install_spare, LfsClient, LfsData, LfsOp, RetryPolicy};
+use bridge_repro::parsim::{CrashAt, Ctx, ProcId, RunStats, SimDuration};
 use bridge_repro::simdisk;
-use bridge_repro::trace::HealthSnapshot;
+use bridge_repro::trace::{HealthSnapshot, LfsTelemetry};
 use std::fmt::Write as _;
 
 const BREADTH: u32 = 4;
@@ -180,12 +180,61 @@ fn inband_polling_leaves_reply_contents_identical() {
     );
 }
 
+/// Ground truth, straight from each device and instance: the
+/// `DiskStats` every LFS reports via `LfsOp::DiskStats` and its
+/// `LfsOp::GetTelemetry` view. These ops touch no media, so the counters a
+/// health snapshot taken just before carries cannot move in between.
+fn ground_truth(
+    ctx: &mut Ctx,
+    lfs: &[ProcId],
+    retry: RetryPolicy,
+) -> Vec<(simdisk::DiskStats, Box<LfsTelemetry>)> {
+    let mut client = LfsClient::with_retry(retry);
+    lfs.iter()
+        .map(|&proc| {
+            let stats = match client.call(ctx, proc, LfsOp::DiskStats) {
+                Ok(LfsData::DiskCounters(s)) => s,
+                other => panic!("DiskStats reply: {other:?}"),
+            };
+            let telemetry = match client.call(ctx, proc, LfsOp::GetTelemetry) {
+                Ok(LfsData::Telemetry(t)) => t,
+                other => panic!("GetTelemetry reply: {other:?}"),
+            };
+            (stats, telemetry)
+        })
+        .collect()
+}
+
+/// Zero slack: every instance's disk section in the snapshot equals its
+/// device's own ledger through the one `DiskStats` conversion, and the
+/// instance gauges agree with the ground-truth read.
+fn assert_reconciles(health: &HealthSnapshot, ground: &[(simdisk::DiskStats, Box<LfsTelemetry>)]) {
+    assert_eq!(health.lfs.len(), ground.len());
+    for (i, (mirror, (stats, telemetry))) in health.lfs.iter().zip(ground).enumerate() {
+        assert_eq!(
+            mirror.disk,
+            disk_telemetry(stats, mirror.media_lost),
+            "lfs {i} disk counters"
+        );
+        assert_eq!(mirror.disk, telemetry.disk, "lfs {i} disk view");
+        assert_eq!(
+            mirror.free_blocks, telemetry.free_blocks,
+            "lfs {i} free blocks"
+        );
+        assert_eq!(
+            mirror.wal_ring_used, telemetry.wal_ring_used,
+            "lfs {i} wal ring"
+        );
+        assert_eq!(mirror.media_lost, telemetry.media_lost, "lfs {i} media");
+        assert_eq!(mirror.crash_down, telemetry.crash_down, "lfs {i} crash");
+    }
+}
+
 /// End-of-run exactness, driven through the full operational arc
 /// (column loss → degraded reads → spare → paced rebuild): the health
-/// snapshot's per-instance disk counters must equal, field for field,
-/// the `DiskStats` the devices themselves report via `LfsOp::DiskStats`,
-/// and its gauges must agree with the ground-truth `LfsOp::GetTelemetry`
-/// reads.
+/// snapshot's per-instance disk counters must equal the `DiskStats` the
+/// devices themselves report, and its gauges must agree with the
+/// ground-truth `LfsOp::GetTelemetry` reads.
 #[test]
 fn end_of_run_snapshot_reconciles_exactly_with_diskstats() {
     let victim = 1u32;
@@ -218,25 +267,7 @@ fn end_of_run_snapshot_reconciles_exactly_with_diskstats() {
         while bridge.seq_read(ctx, file).expect("final read").is_some() {}
 
         let health = bridge.get_health(ctx).expect("health");
-        // Ground truth, straight from each device and instance. These
-        // ops are untimed and touch no media, so the counters the
-        // snapshot mirrored cannot move between the two observations.
-        let mut client = LfsClient::with_retry(retry);
-        let ground: Vec<(simdisk::DiskStats, Box<bridge_repro::trace::LfsTelemetry>)> = lfs
-            .iter()
-            .map(|&proc| {
-                let stats = match client.call(ctx, proc, LfsOp::DiskStats) {
-                    Ok(LfsData::DiskCounters(s)) => s,
-                    other => panic!("DiskStats reply: {other:?}"),
-                };
-                let telemetry = match client.call(ctx, proc, LfsOp::GetTelemetry) {
-                    Ok(LfsData::Telemetry(t)) => t,
-                    other => panic!("GetTelemetry reply: {other:?}"),
-                };
-                (stats, telemetry)
-            })
-            .collect();
-        (health, ground)
+        (health, ground_truth(ctx, &lfs, retry))
     });
     let _ = sim.stats();
 
@@ -249,44 +280,50 @@ fn end_of_run_snapshot_reconciles_exactly_with_diskstats() {
     assert!(health.has_event("rebuild.start"));
     assert!(health.has_event("rebuild.done"));
     assert_eq!(health.lfs.len(), BREADTH as usize);
+    assert_reconciles(&health, &ground);
+    assert!(
+        health.lfs.iter().all(|l| !l.media_lost),
+        "spare racked in and rebuilt"
+    );
+}
 
-    for (i, (mirror, (stats, telemetry))) in health.lfs.iter().zip(&ground).enumerate() {
-        // Zero slack: every disk counter in the snapshot equals the
-        // device's own ledger.
-        assert_eq!(mirror.disk.reads, stats.reads, "lfs {i} reads");
-        assert_eq!(mirror.disk.writes, stats.writes, "lfs {i} writes");
-        assert_eq!(
-            mirror.disk.buffer_hits, stats.buffer_hits,
-            "lfs {i} buffer hits"
-        );
-        assert_eq!(
-            mirror.disk.track_loads, stats.track_loads,
-            "lfs {i} track loads"
-        );
-        assert_eq!(
-            mirror.disk.head_travel, stats.head_travel,
-            "lfs {i} head travel"
-        );
-        assert_eq!(
-            mirror.disk.transient_faults, stats.transient_faults,
-            "lfs {i} transient faults"
-        );
-        assert_eq!(
-            mirror.disk.busy_nanos,
-            stats.busy.as_nanos(),
-            "lfs {i} busy time"
-        );
-        // And the instance gauges agree with the ground-truth read.
-        assert_eq!(mirror.disk, telemetry.disk, "lfs {i} disk view");
-        assert_eq!(
-            mirror.free_blocks, telemetry.free_blocks,
-            "lfs {i} free blocks"
-        );
-        assert_eq!(
-            mirror.wal_ring_used, telemetry.wal_ring_used,
-            "lfs {i} wal ring"
-        );
-        assert_eq!(mirror.media_lost, telemetry.media_lost, "lfs {i} media");
-        assert!(!mirror.media_lost, "spare racked in and rebuilt");
-    }
+/// The same zero-slack check on the crash path: a WAL machine whose node
+/// is killed mid-stream replays its log on recovery (disk reads outside
+/// any service batch) and then publishes; the end-of-run snapshot must
+/// still equal every device's own `DiskStats`.
+#[test]
+fn end_of_run_snapshot_reconciles_exactly_after_crash_recovery() {
+    let victim = 1u32;
+    let cfg = BridgeConfig::instant(BREADTH)
+        .with_wal()
+        .with_faults(FaultPlan {
+            seed: 0xc4a5,
+            crashes: vec![CrashAt {
+                disk: victim,
+                after_writes: 20,
+                down: SimDuration::from_millis(300),
+            }],
+            ..FaultPlan::none()
+        });
+    assert!(cfg.telemetry, "instant machines arm telemetry by default");
+    let (mut sim, machine) = BridgeMachine::build(&cfg);
+    let server = machine.server;
+    let lfs: Vec<_> = machine.lfs.clone();
+    let retry = cfg.server.lfs_retry;
+    let (health, ground) = sim.block_on(machine.frontend, "telemetry-client", move |ctx| {
+        let mut bridge = BridgeClient::with_retry(server, retry);
+        let file = bridge.create(ctx, CreateSpec::default()).expect("create");
+        for i in 0..BLOCKS {
+            bridge.seq_write(ctx, file, content(i)).expect("append");
+        }
+        bridge.open(ctx, file).expect("open");
+        while bridge.seq_read(ctx, file).expect("read").is_some() {}
+        let health = bridge.get_health(ctx).expect("health");
+        (health, ground_truth(ctx, &lfs, retry))
+    });
+    let _ = sim.stats();
+
+    assert!(health.has_event("node.crash"), "the crash was exercised");
+    assert_reconciles(&health, &ground);
+    assert!(health.lfs.iter().all(|l| !l.crash_down), "recovered");
 }
