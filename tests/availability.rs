@@ -9,312 +9,38 @@
 //! and the closing machine-wide `pfsck` — parity audit included — comes
 //! back clean. Loss may only change timing, never observable behaviour.
 //!
-//! Three entry points exercise it, mirroring `tests/chaos.rs`:
+//! The `loss` profile of the fault harness (`tests/faults/`) drives it:
 //!
 //! * `media_loss_preserves_observable_behavior` — proptest over random
 //!   loss plans, a quick subset on every `cargo test`.
-//! * `avail_soak` — the CI soak hook. `AVAIL_SEED` picks the seed block
-//!   (nightly CI derives it from the date), `AVAIL_CASES` the case
-//!   count, and `AVAIL_REPLAY` replays one failing plan seed exactly. A
-//!   failing seed is written to `target/chaos_failures/*.lossseed` so CI
-//!   can attach it, and the panic message carries the replay command.
-//! * `loss_seed_corpus_replays_clean` — regression corpus: every seed in
-//!   `tests/fault_seeds/*.lossseed` replays on plain `cargo test`.
+//! * `avail_soak` — the CI soak hook (`FAULT_SEED` / `FAULT_CASES`; a
+//!   failing case lands in `target/chaos_failures/` and its panic names
+//!   the `FAULT_REPLAY` command).
+//! * `loss_seed_corpus_replays_clean` — every `loss` line of
+//!   `tests/fault_seeds/*.plans` replays on plain `cargo test`.
 //!
 //! A pure-math proptest rides along: for any parity layout and any
 //! single lost column, every lost block is reconstructed exactly from
 //! its surviving stripe peers — the algebra the degraded path leans on.
 
-use bridge_repro::core::{
-    xor_into, BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, ParityLayout, Redundancy,
-};
-use bridge_repro::efs;
-use bridge_repro::parsim::{
-    mix64, splitmix64, DiskLost, FaultPlan, MsgFaults, NodeId, ProcId, SimDuration,
-};
-use bridge_repro::tools::{pfsck, FsckOptions};
+mod faults;
+
+use bridge_repro::core::{xor_into, ParityLayout};
+use bridge_repro::parsim::{mix64, splitmix64, DiskLost, FaultPlan};
 use bridge_repro::trace::TraceCollector;
+use faults::{check, replay_corpus, soak, Case, LOSS};
 use proptest::prelude::*;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-/// Machine breadth used by every availability run. Four columns means a
-/// whole-breadth parity group of width 3 plus the rotating parity slot.
-const BREADTH: u32 = 4;
-
-/// Draws a loss plan from a seed: exactly one disk dies for good at a
-/// random write ordinal — possibly before anything persists, possibly
-/// past the whole write stream (in which case the victim is still
-/// healthy when the spare racks in, and the rebuild must cope with a
-/// freshly formatted column that lost *everything*) — under random
-/// message *delays* so the loss races in-flight traffic. Drops and
-/// duplicates stay out of loss plans: the operator-driven spare rack-in
-/// ([`efs::install_spare`]) is a bare control message with no retry or
-/// dedup identity, by design — re-racking a spare mid-rebuild wipes the
-/// rebuild's progress, which is an operator error, not a fault to
-/// converge through. (The chaos suite owns drop/dup coverage.)
-fn loss_plan_from_seed(seed: u64) -> FaultPlan {
-    let mut s = mix64(seed, 0x0105_5EED);
-    let mut draw = move || splitmix64(&mut s);
-    let msg = MsgFaults {
-        delay_per_mille: (draw() % 300) as u16,
-        delay_max: SimDuration::from_micros(1 + draw() % 50_000),
-        ..MsgFaults::default()
-    };
-    let losses = vec![DiskLost {
-        disk: (draw() % u64::from(BREADTH)) as u32,
-        after_writes: draw() % 600,
-    }];
-    FaultPlan {
-        seed,
-        msg,
-        losses,
-        ..FaultPlan::none()
-    }
-}
-
-/// Deterministic payload for append/overwrite `i` of stream `tag`.
-fn content(tag: u8, i: u64) -> Vec<u8> {
-    vec![tag ^ (i as u8), (i >> 8) as u8, tag, 0x42]
-        .into_iter()
-        .cycle()
-        .take(64 + (i as usize % 7) * 16)
-        .collect()
-}
-
-/// FNV-1a, to log block contents compactly.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Runs the fixed availability workload and returns the transcript of
-/// every client-visible reply (results and read-back contents, no
-/// timing, no repair counters — those are allowed to differ between the
-/// degraded and fault-free runs).
-///
-/// With `recover = Some(disk)`, after the degraded read phase a spare
-/// medium racks into that LFS (wiping whatever survived there) and an
-/// online, paced rebuild repopulates its columns from the surviving
-/// group members — the full kill → degraded → rebuild arc. The final
-/// reads and the closing machine-wide `pfsck` land in the transcript
-/// either way, so a faulted-and-rebuilt machine must end
-/// indistinguishable from one that never faulted.
-fn run_workload(config: &BridgeConfig, recover: Option<u32>) -> Vec<String> {
-    let (mut sim, machine) = BridgeMachine::build(config);
-    let server = machine.server;
-    let spare = recover.map(|disk| machine.lfs[disk as usize]);
-    let pairs: Vec<(ProcId, NodeId)> = machine
-        .lfs
-        .iter()
-        .copied()
-        .zip(machine.lfs_nodes.iter().copied())
-        .collect();
-    let retry = config.server.lfs_retry;
-    sim.block_on(machine.frontend, "avail-client", move |ctx| {
-        let mut bridge = BridgeClient::with_retry(server, retry);
-        let mut log: Vec<String> = Vec::new();
-        // `a` inherits the machine's default redundancy (parity in the
-        // standard configs below); `b` pins a mirror so both modes ride
-        // through every plan.
-        let a = bridge.create(ctx, CreateSpec::default()).expect("create a");
-        let b = bridge
-            .create(
-                ctx,
-                CreateSpec {
-                    redundancy: Redundancy::Mirror,
-                    ..CreateSpec::default()
-                },
-            )
-            .expect("create b");
-        log.push(format!("create a={a:?} b={b:?}"));
-        for i in 0..40 {
-            let n = bridge
-                .seq_write(ctx, a, content(0xA0, i))
-                .expect("append a");
-            log.push(format!("a.append[{i}] -> {n}"));
-        }
-        for i in 0..24 {
-            let n = bridge
-                .seq_write(ctx, b, content(0xB0, i))
-                .expect("append b");
-            log.push(format!("b.append[{i}] -> {n}"));
-        }
-        for at in [3u64, 17, 29] {
-            bridge
-                .rand_write(ctx, a, at, content(0xEE, at))
-                .expect("overwrite a");
-            log.push(format!("a.overwrite[{at}]"));
-        }
-        // Degraded phase: if the loss has fired, these reads reconstruct
-        // the dead columns from the survivors — same hashes regardless.
-        for (name, file) in [("a", a), ("b", b)] {
-            let info = bridge.open(ctx, file).expect("open");
-            let mut line = format!("{name}.read size={}:", info.size);
-            while let Some(block) = bridge.seq_read(ctx, file).expect("seq read") {
-                write!(line, " {:016x}", fnv(&block)).unwrap();
-            }
-            log.push(line);
-        }
-        if let Some(victim) = spare {
-            assert!(
-                efs::install_spare(ctx, victim),
-                "device produced a spare medium"
-            );
-            for file in [a, b] {
-                bridge
-                    .rebuild_paced(ctx, file, 8, SimDuration::from_micros(200))
-                    .expect("rebuild onto the spare");
-            }
-        }
-        for at in [0u64, 17, 39] {
-            let block = bridge.rand_read(ctx, a, at).expect("rand read a");
-            log.push(format!("a.rand_read[{at}] -> {:016x}", fnv(&block)));
-        }
-        for (name, file) in [("a", a), ("b", b)] {
-            let info = bridge.open(ctx, file).expect("reopen");
-            let mut line = format!("{name}.final size={}:", info.size);
-            while let Some(block) = bridge.seq_read(ctx, file).expect("final read") {
-                write!(line, " {:016x}", fnv(&block)).unwrap();
-            }
-            log.push(line);
-        }
-        let verdict = pfsck(
-            ctx,
-            &pairs,
-            &FsckOptions {
-                retry,
-                server: Some(server),
-                ..FsckOptions::default()
-            },
-        )
-        .expect("pfsck");
-        log.push(format!(
-            "pfsck clean={} errors={:?}",
-            verdict.clean(),
-            verdict.errors(),
-        ));
-        log
-    })
-}
-
-/// The standard availability machine: machine-wide atomicity (so parity
-/// can never go stale across a crash) and parity redundancy by default.
-fn avail_config() -> BridgeConfig {
-    BridgeConfig::instant(BREADTH)
-        .with_2pc()
-        .with_redundancy(Redundancy::parity())
-}
-
-/// The headline invariant for one plan: kill the plan's disk for good,
-/// serve degraded, rack in a spare, rebuild online — and the transcript
-/// (replies, contents, closing pfsck verdict) equals the fault-free
-/// run's. Panics with a replayable report on mismatch.
-fn check_loss_plan(label: &str, plan: FaultPlan) {
-    let victim = plan.losses[0].disk;
-    let baseline = run_workload(&avail_config(), None);
-    let faulted = run_workload(&avail_config().with_faults(plan.clone()), Some(victim));
-    if baseline == faulted {
-        return;
-    }
-    let divergence = baseline
-        .iter()
-        .zip(faulted.iter())
-        .position(|(b, f)| b != f)
-        .unwrap_or_else(|| baseline.len().min(faulted.len()));
-    record_failure(plan.seed);
-    panic!(
-        "availability invariant violated ({label}, plan seed {seed}):\n\
-         first divergence at reply {divergence}:\n\
-           fault-free: {base:?}\n\
-           degraded:   {fault:?}\n\
-         replay with: AVAIL_REPLAY={seed} cargo test --test availability avail_soak\n\
-         plan: {plan:?}",
-        seed = plan.seed,
-        base = baseline.get(divergence),
-        fault = faulted.get(divergence),
-    );
-}
-
-fn check_loss_seed(label: &str, seed: u64) {
-    check_loss_plan(label, loss_plan_from_seed(seed));
-}
-
-/// Saves a failing plan seed under `target/chaos_failures/` (the same
-/// artifact directory the chaos suites use) so CI can upload it, with
-/// the `.lossseed` extension picking the `AVAIL_REPLAY` command.
-fn record_failure(seed: u64) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("chaos_failures");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("{seed}.lossseed")), format!("{seed}\n"));
-    }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be a u64, got {v:?}")),
-        Err(_) => default,
-    }
-}
 
 /// The CI soak hook (also a normal quick test when the env is unset).
 #[test]
 fn avail_soak() {
-    if let Ok(replay) = std::env::var("AVAIL_REPLAY") {
-        let seed = replay
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("AVAIL_REPLAY must be a u64, got {replay:?}"));
-        check_loss_seed("replay", seed);
-        return;
-    }
-    let base = env_u64("AVAIL_SEED", 0x00AB_A11A);
-    let cases = env_u64("AVAIL_CASES", 4);
-    for case in 0..cases {
-        check_loss_seed("avail soak", mix64(base, case));
-    }
+    soak(&LOSS, 4);
 }
 
-/// Every loss-plan seed ever caught in the wild replays clean, forever
-/// (`tests/fault_seeds/*.lossseed`).
+/// Every loss-plan case ever caught in the wild replays clean, forever.
 #[test]
 fn loss_seed_corpus_replays_clean() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fault_seeds");
-    let mut seeds = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("tests/fault_seeds exists") {
-        let path = entry.expect("readable dir entry").path();
-        if path.extension().is_none_or(|e| e != "lossseed") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("readable seed file");
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            seeds.push(
-                line.parse::<u64>()
-                    .unwrap_or_else(|_| panic!("bad seed line {line:?} in {path:?}")),
-            );
-        }
-    }
-    assert!(
-        !seeds.is_empty(),
-        "corpus holds at least one .lossseed seed"
-    );
-    for seed in seeds {
-        check_loss_seed("loss corpus", seed);
-    }
+    replay_corpus(&LOSS);
 }
 
 /// Directed plan: disk 1 dies early in the write stream, no other
@@ -330,13 +56,13 @@ fn early_loss_is_served_degraded_then_rebuilt() {
         }],
         ..FaultPlan::none()
     };
-    check_loss_plan("early loss", plan.clone());
+    check(&Case::directed(&LOSS, plan.clone()));
 
     // Rerun traced to prove degraded mode actually engaged.
     let collector = TraceCollector::install();
-    let mut config = avail_config().with_faults(plan);
+    let mut config = LOSS.machine().with_faults(plan);
     config.tracer = Some(collector.as_tracer());
-    run_workload(&config, Some(1));
+    LOSS.run(&config);
     let degraded = collector
         .snapshot()
         .instants
@@ -354,8 +80,8 @@ fn early_loss_is_served_degraded_then_rebuilt() {
 /// spare arrives.
 #[test]
 fn loss_before_first_write_converges() {
-    check_loss_plan(
-        "loss at birth",
+    check(&Case::directed(
+        &LOSS,
         FaultPlan {
             seed: 22,
             losses: vec![DiskLost {
@@ -364,7 +90,7 @@ fn loss_before_first_write_converges() {
             }],
             ..FaultPlan::none()
         },
-    );
+    ));
 }
 
 /// Directed plan: the loss ordinal lies past the whole write stream, so
@@ -373,8 +99,8 @@ fn loss_before_first_write_converges() {
 /// the closing parity audit must still come back clean.
 #[test]
 fn spare_install_on_healthy_node_is_rebuilt_losslessly() {
-    check_loss_plan(
-        "inert loss, live wipe",
+    check(&Case::directed(
+        &LOSS,
         FaultPlan {
             seed: 23,
             losses: vec![DiskLost {
@@ -383,7 +109,7 @@ fn spare_install_on_healthy_node_is_rebuilt_losslessly() {
             }],
             ..FaultPlan::none()
         },
-    );
+    ));
 }
 
 proptest! {
@@ -395,7 +121,7 @@ proptest! {
     /// The headline invariant over random loss plans.
     #[test]
     fn media_loss_preserves_observable_behavior(seed in any::<u64>()) {
-        check_loss_seed("proptest", seed);
+        check(&Case::generated(&LOSS, seed));
     }
 }
 

@@ -1,506 +1,153 @@
-//! Chaos tests: the headline fault-tolerance invariant.
+//! Chaos tests: the headline fault-tolerance invariant, on the `chaos`,
+//! `crash` and `atomic` profiles of the fault harness (`tests/faults/`).
 //!
 //! For any *bounded* fault plan — drop/duplicate/delay rates with a
 //! consecutive-drop cap, finite outage windows, transient disk errors
 //! under the driver retry limit — a workload run against a Bridge machine
 //! with retries enabled produces **exactly** the client-visible replies
 //! and final file contents of the fault-free run. Faults may only change
-//! timing, never observable behaviour.
+//! timing, never observable behaviour. On the WAL machine (`crash`) a
+//! plan may also kill nodes between any two elementary disk writes
+//! ([`CrashAt`]), and the transcript closes with a `pfsck --check`
+//! verdict; on the 2PC machine (`atomic`) it may also fail-stop the
+//! coordinator, and the verdict includes the machine-wide pass.
 //!
-//! Three entry points exercise it:
-//!
-//! * `bounded_faults_preserve_observable_behavior` — proptest over random
-//!   plan seeds, a quick subset on every `cargo test`.
-//! * `chaos_soak` — the CI soak hook. `CHAOS_SEED` picks the seed block
-//!   (nightly CI derives it from the date), `CHAOS_CASES` the case count,
-//!   and `CHAOS_REPLAY` replays one failing plan seed exactly. A failing
-//!   seed is written to `target/chaos_failures/` so CI can attach it, and
-//!   the panic message carries the replay command.
-//! * `fault_seed_corpus_replays_clean` — regression corpus: every seed in
-//!   `tests/fault_seeds/` replays on plain `cargo test`, forever.
-//!
-//! The WAL era adds **crash-at-any-point** kills to the bounded envelope:
-//! on a machine with the per-LFS write-ahead log enabled, a plan may also
-//! kill nodes between any two elementary disk writes
-//! ([`CrashAt`]). The invariant is the same — every acknowledged
-//! operation survives, replies and final contents equal the fault-free
-//! run's — and each crash run additionally ends with a machine-wide
-//! `pfsck --check` whose clean verdict joins the transcript. The crash
-//! entry points mirror the originals: the
-//! `crash_schedules_preserve_acknowledged_writes` proptest, the
-//! `crash_soak` CI hook (`CRASH_SEED` / `CRASH_CASES` / `CRASH_REPLAY`),
-//! and `crash_seed_corpus_replays_clean` over `tests/fault_seeds/
-//! *.crashseed`.
+//! Each profile is exercised by a proptest over random seeds, a soak
+//! (`chaos_soak`, `crash_soak`: `FAULT_SEED`/`FAULT_CASES`), the
+//! regression corpus (`tests/fault_seeds/*.plans`) and directed plans.
+//! `fault_replay` reruns the case `FAULT_REPLAY="<profile> <seed>"`
+//! names, for any profile. `conversion_is_pinned` pins the generator,
+//! the corpus and every profile's fault-free run.
 
-use bridge_repro::core::{
-    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Durability, PlacementSpec,
-};
+mod faults;
+
+use bridge_repro::core::BridgeConfig;
 use bridge_repro::parsim::{
-    mix64, splitmix64, BlockFaultRule, CrashAt, DiskFaults, FaultPlan, MsgFaults, NodeId, Outage,
-    OutageKind, ProcId, RunStats, SimDuration, SimTime, SERVER_DISK,
+    mix64, BlockFaultRule, CrashAt, DiskFaults, FaultPlan, MsgFaults, NodeId, Outage, OutageKind,
+    RunStats, SimDuration, SimTime,
 };
-use bridge_repro::tools::{pfsck, FsckOptions};
 use bridge_repro::trace::{Metrics, TraceCollector};
+use faults::{
+    check, replay_corpus, soak, Case, Profile, ATOMIC, CHAOS, CRASH, FIRST_LFS_NODE, PROFILES,
+    SERVER_NODE,
+};
 use proptest::prelude::*;
-use std::fmt::Write as _;
-use std::path::PathBuf;
 
-/// Node indexes in a [`BridgeMachine`] build: the server node is added
-/// first, then the frontend, then one node per LFS.
-const SERVER_NODE: usize = 0;
-const FIRST_LFS_NODE: usize = 2;
-
-/// Machine breadth used by every chaos run.
-const BREADTH: u32 = 3;
-
-/// Draws a bounded fault plan from a seed. Every knob stays inside the
-/// convergence envelope: drop runs are capped, outage windows are short
-/// (their sum plus `delay_max` is far below the servers' dedup
-/// retention), and disk error bursts stay under the driver retry limit.
-fn plan_from_seed(seed: u64) -> FaultPlan {
-    let mut s = mix64(seed, 0x00C4_A05B);
-    let mut draw = move || splitmix64(&mut s);
-    let msg = MsgFaults {
-        drop_per_mille: (draw() % 250) as u16,
-        dup_per_mille: (draw() % 250) as u16,
-        delay_per_mille: (draw() % 300) as u16,
-        delay_max: SimDuration::from_micros(1 + draw() % 100_000),
-        max_consecutive_drops: 2 + (draw() % 6) as u32,
-    };
-    let mut outages = Vec::new();
-    for _ in 0..draw() % 3 {
-        // Hit the Bridge server node or one of the LFS nodes, never the
-        // frontend the driving client runs on.
-        let node = match draw() % 4 {
-            0 => SERVER_NODE,
-            pick => FIRST_LFS_NODE + (pick as usize - 1),
-        };
-        let from = SimTime::ZERO + SimDuration::from_millis(draw() % 1_500);
-        let len = SimDuration::from_millis(10 + draw() % 800);
-        outages.push(Outage {
-            node: NodeId::from_index(node),
-            from,
-            until: from + len,
-            kind: if draw() % 2 == 0 {
-                OutageKind::Down
-            } else {
-                OutageKind::Paused
-            },
-        });
-    }
-    let mut targets = Vec::new();
-    for _ in 0..draw() % 3 {
-        targets.push(BlockFaultRule {
-            disk: (draw() % u64::from(BREADTH)) as u32,
-            block: (draw() % 256) as u32,
-            fails: 1 + (draw() % 4) as u32,
-        });
-    }
-    let disk = DiskFaults {
-        error_per_mille: (draw() % 150) as u16,
-        max_consecutive: 1 + (draw() % 6) as u32,
-        targets,
-    };
-    FaultPlan {
-        seed,
-        msg,
-        outages,
-        disk,
-        crashes: Vec::new(),
-        losses: Vec::new(),
-    }
+/// Runs a directed plan on `profile` and returns the fault-free and the
+/// faulted run's scheduler counters.
+fn check_directed(profile: &'static Profile, plan: FaultPlan) -> (RunStats, RunStats) {
+    let (base, faulted) = check(&Case::directed(profile, plan));
+    (base.stats, faulted.stats)
 }
 
-/// Draws a crash-era plan: the bounded envelope of [`plan_from_seed`]
-/// plus one or two crash-at-any-point node kills. Write ordinals stay
-/// small enough to land inside (or just past) the workload's write
-/// stream, and down windows stay far below the retry budget.
-fn crash_plan_from_seed(seed: u64) -> FaultPlan {
-    let mut plan = plan_from_seed(seed);
-    let mut s = mix64(seed, 0x0C4A_511E);
-    let mut draw = move || splitmix64(&mut s);
-    for _ in 0..1 + draw() % 2 {
-        plan.crashes.push(CrashAt {
-            disk: (draw() % u64::from(BREADTH)) as u32,
-            after_writes: 1 + draw() % 256,
-            down: SimDuration::from_millis(200 + draw() % 1_800),
-        });
-    }
-    plan
-}
-
-/// Draws a machine-atomicity plan: the crash-era envelope of
-/// [`crash_plan_from_seed`] plus one fail-stop of the *coordinator*,
-/// addressed by [`SERVER_DISK`]. The workload issues three machine-wide
-/// mutations (two creates, one delete), each costing exactly two
-/// decision-log writes (BEGIN, COMMIT), so an ordinal in `1..=8` lands
-/// the kill on any BEGIN (an in-doubt transaction: durable prepares, no
-/// decision), any COMMIT, or just past the stream.
-fn two_pc_crash_plan_from_seed(seed: u64) -> FaultPlan {
-    let mut plan = crash_plan_from_seed(seed);
-    let mut s = mix64(seed, 0x7C10_2BC0);
-    let mut draw = move || splitmix64(&mut s);
-    plan.crashes.push(CrashAt {
-        disk: SERVER_DISK,
-        after_writes: 1 + draw() % 8,
-        down: SimDuration::from_millis(200 + draw() % 800),
-    });
-    plan
-}
-
-/// Deterministic payload for append/overwrite `i` of stream `tag`.
-fn content(tag: u8, i: u64) -> Vec<u8> {
-    vec![tag ^ (i as u8), (i >> 8) as u8, tag, 0x42]
-        .into_iter()
-        .cycle()
-        .take(64 + (i as usize % 7) * 16)
-        .collect()
-}
-
-/// FNV-1a, to log block contents compactly.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Runs the fixed chaos workload and returns the transcript of every
-/// client-visible reply (results and read-back contents, no timing),
-/// plus the run's scheduler counters.
-fn run_workload(config: &BridgeConfig) -> (Vec<String>, RunStats) {
-    run_workload_with(config, false, false)
-}
-
-/// [`run_workload`] on a WAL-era machine: the transcript additionally
-/// ends with a `pfsck --check` verdict, so a crash plan must not only
-/// preserve replies and contents but also leave every instance
-/// consistent. On a [`Durability::Atomic`] machine the verdict also
-/// covers the machine-wide pass (directory vs every instance, orphans
-/// resolved by the coordinator's logged decisions).
-fn run_wal_workload(config: &BridgeConfig) -> (Vec<String>, RunStats) {
-    run_workload_with(config, true, config.durability == Durability::Atomic)
-}
-
-fn run_workload_with(
-    config: &BridgeConfig,
-    pfsck_tail: bool,
-    machine_pass: bool,
-) -> (Vec<String>, RunStats) {
-    let (mut sim, machine) = BridgeMachine::build(config);
-    let server = machine.server;
-    let pairs: Vec<(ProcId, NodeId)> = machine
-        .lfs
-        .iter()
-        .copied()
-        .zip(machine.lfs_nodes.iter().copied())
-        .collect();
-    let retry = config.server.lfs_retry;
-    let log = sim.block_on(machine.frontend, "chaos-client", move |ctx| {
-        let mut bridge = BridgeClient::with_retry(server, retry);
-        let mut log: Vec<String> = Vec::new();
-        let a = bridge
-            .create(
-                ctx,
-                CreateSpec {
-                    placement: PlacementSpec::RoundRobin,
-                    size_hint: Some(64),
-                    ..CreateSpec::default()
-                },
-            )
-            .expect("create a");
-        let b = bridge
-            .create(
-                ctx,
-                CreateSpec {
-                    placement: PlacementSpec::Chunked,
-                    size_hint: Some(32),
-                    ..CreateSpec::default()
-                },
-            )
-            .expect("create b");
-        log.push(format!("create a={a:?} b={b:?}"));
-        for i in 0..40 {
-            let n = bridge
-                .seq_write(ctx, a, content(0xA0, i))
-                .expect("append a");
-            log.push(format!("a.append[{i}] -> {n}"));
-        }
-        for i in 0..24 {
-            let n = bridge
-                .seq_write(ctx, b, content(0xB0, i))
-                .expect("append b");
-            log.push(format!("b.append[{i}] -> {n}"));
-        }
-        for at in [3u64, 17, 29] {
-            bridge
-                .rand_write(ctx, a, at, content(0xEE, at))
-                .expect("overwrite a");
-            log.push(format!("a.overwrite[{at}]"));
-        }
-        for (name, file) in [("a", a), ("b", b)] {
-            let info = bridge.open(ctx, file).expect("open");
-            let mut line = format!("{name}.read size={}:", info.size);
-            while let Some(block) = bridge.seq_read(ctx, file).expect("seq read") {
-                write!(line, " {:016x}", fnv(&block)).unwrap();
-            }
-            log.push(line);
-        }
-        let freed = bridge.delete(ctx, b).expect("delete b");
-        log.push(format!("b.delete -> {freed}"));
-        for i in 40..48 {
-            let n = bridge
-                .seq_write(ctx, a, content(0xA0, i))
-                .expect("append a");
-            log.push(format!("a.append[{i}] -> {n}"));
-        }
-        for at in [0u64, 17, 44, 47] {
-            let block = bridge.rand_read(ctx, a, at).expect("rand read a");
-            log.push(format!("a.rand_read[{at}] -> {:016x}", fnv(&block)));
-        }
-        let info = bridge.open(ctx, a).expect("reopen a");
-        let mut line = format!("a.final size={}:", info.size);
-        while let Some(block) = bridge.seq_read(ctx, a).expect("final read") {
-            write!(line, " {:016x}", fnv(&block)).unwrap();
-        }
-        log.push(line);
-        if pfsck_tail {
-            let verdict = pfsck(
-                ctx,
-                &pairs,
-                &FsckOptions {
-                    retry,
-                    server: machine_pass.then_some(server),
-                    ..FsckOptions::default()
-                },
-            )
-            .expect("pfsck");
-            log.push(format!(
-                "pfsck clean={} repaired={} errors={:?}",
-                verdict.clean(),
-                verdict.repaired,
-                verdict.errors(),
-            ));
-        }
-        log
-    });
-    (log, sim.stats())
-}
-
-/// The headline invariant for one plan: transcript under faults+retries
-/// equals the fault-free transcript. Panics with a replayable report on
-/// mismatch. Returns both runs' scheduler counters so directed tests can
-/// assert that the faults actually fired.
-fn check_plan(label: &str, plan: FaultPlan) -> (RunStats, RunStats) {
-    let (baseline, base_stats) = run_workload(&BridgeConfig::instant(BREADTH));
-    let (faulted, fault_stats) =
-        run_workload(&BridgeConfig::instant(BREADTH).with_faults(plan.clone()));
-    if baseline == faulted {
-        return (base_stats, fault_stats);
-    }
-    let divergence = baseline
-        .iter()
-        .zip(faulted.iter())
-        .position(|(b, f)| b != f)
-        .unwrap_or_else(|| baseline.len().min(faulted.len()));
-    record_failure(plan.seed, "seed");
-    panic!(
-        "chaos invariant violated ({label}, plan seed {seed}):\n\
-         first divergence at reply {divergence}:\n\
-           fault-free: {base:?}\n\
-           faulted:    {fault:?}\n\
-         replay with: CHAOS_REPLAY={seed} cargo test --test chaos chaos_soak\n\
-         plan: {plan:?}",
-        seed = plan.seed,
-        base = baseline.get(divergence),
-        fault = faulted.get(divergence),
-    );
-}
-
-fn check_seed(label: &str, seed: u64) {
-    check_plan(label, plan_from_seed(seed));
-}
-
-/// The crash-era headline invariant for one plan on a `durability`
-/// machine: transcript (replies, contents, **and** the closing pfsck
-/// verdict) under crashes+faults+retries equals the fault-free
-/// transcript. On a [`Durability::Atomic`] machine this is machine-wide
-/// atomicity: a coordinator crash on a BEGIN write leaves an in-doubt
-/// transaction that presumed-abort recovery must roll back; a crash on a
-/// COMMIT write must still complete the decided transaction everywhere.
-fn check_crash_plan(durability: Durability, label: &str, plan: FaultPlan) -> (RunStats, RunStats) {
-    let config = BridgeConfig::instant(BREADTH).with_durability(durability);
-    let (baseline, base_stats) = run_wal_workload(&config);
-    let (faulted, fault_stats) = run_wal_workload(&config.with_faults(plan.clone()));
-    if baseline == faulted {
-        return (base_stats, fault_stats);
-    }
-    let divergence = baseline
-        .iter()
-        .zip(faulted.iter())
-        .position(|(b, f)| b != f)
-        .unwrap_or_else(|| baseline.len().min(faulted.len()));
-    record_failure(plan.seed, "crashseed");
-    panic!(
-        "{durability:?} crash invariant violated ({label}, plan seed {seed}):\n\
-         first divergence at reply {divergence}:\n\
-           fault-free: {base:?}\n\
-           faulted:    {fault:?}\n\
-         replay a Wal plan with: CRASH_REPLAY={seed} cargo test --test chaos crash_soak\n\
-         plan: {plan:?}",
-        seed = plan.seed,
-        base = baseline.get(divergence),
-        fault = faulted.get(divergence),
-    );
-}
-
-fn check_crash_seed(label: &str, seed: u64) {
-    check_crash_plan(Durability::Wal, label, crash_plan_from_seed(seed));
-}
-
-/// A mid-rate everything-on plan for tests that need fault activity
-/// rather than coverage breadth.
-fn storm_plan(seed: u64) -> FaultPlan {
-    FaultPlan {
-        seed,
-        msg: MsgFaults {
-            drop_per_mille: 200,
-            dup_per_mille: 150,
-            delay_per_mille: 200,
-            delay_max: SimDuration::from_millis(20),
-            max_consecutive_drops: 4,
-        },
-        disk: DiskFaults {
-            error_per_mille: 150,
-            max_consecutive: 4,
-            targets: Vec::new(),
-        },
-        ..FaultPlan::none()
-    }
-}
-
-/// Saves a failing plan seed under `target/chaos_failures/` so CI can
-/// upload it as an artifact (and a developer can move it into
-/// `tests/fault_seeds/` to pin the regression). The extension picks the
-/// replay command: `.seed` for `CHAOS_REPLAY`, `.crashseed` for
-/// `CRASH_REPLAY`.
-fn record_failure(seed: u64, ext: &str) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("chaos_failures");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("{seed}.{ext}")), format!("{seed}\n"));
-    }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be a u64, got {v:?}")),
-        Err(_) => default,
-    }
-}
-
-/// The CI soak hook (also a normal quick test when the env is unset).
+/// The CI soak hook for bounded storms (a quick test when the env is
+/// unset).
 #[test]
 fn chaos_soak() {
-    if let Ok(replay) = std::env::var("CHAOS_REPLAY") {
-        let seed = replay
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("CHAOS_REPLAY must be a u64, got {replay:?}"));
-        check_seed("replay", seed);
-        return;
-    }
-    let base = env_u64("CHAOS_SEED", 0x00B2_1D6E);
-    let cases = env_u64("CHAOS_CASES", 6);
-    for case in 0..cases {
-        check_seed("soak", mix64(base, case));
-    }
+    soak(&CHAOS, 6);
 }
 
-/// The crash-soak CI hook: date-seeded crash schedules on a WAL machine
-/// (also a normal quick test when the env is unset). `CRASH_REPLAY`
-/// replays one failing plan seed exactly; failing seeds land in
-/// `target/chaos_failures/` for CI to attach.
+/// The CI soak hook for storms with node kills on the WAL machine.
 #[test]
 fn crash_soak() {
-    if let Ok(replay) = std::env::var("CRASH_REPLAY") {
-        let seed = replay
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("CRASH_REPLAY must be a u64, got {replay:?}"));
-        check_crash_seed("replay", seed);
-        return;
-    }
-    let base = env_u64("CRASH_SEED", 0x00C4_A5F0);
-    let cases = env_u64("CRASH_CASES", 4);
-    for case in 0..cases {
-        check_crash_seed("crash soak", mix64(base, case));
-    }
+    soak(&CRASH, 4);
 }
 
-/// Reads every seed (decimal u64, one per line, `#` comments) from the
-/// `tests/fault_seeds/*.{ext}` corpus files.
-fn corpus_seeds(ext: &str) -> Vec<u64> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fault_seeds");
-    let mut seeds = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("tests/fault_seeds exists") {
-        let path = entry.expect("readable dir entry").path();
-        if path.extension().is_none_or(|e| e != ext) {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("readable seed file");
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let seed: u64 = line
-                .parse()
-                .unwrap_or_else(|_| panic!("bad seed line {line:?} in {path:?}"));
-            seeds.push(seed);
-        }
-    }
-    assert!(!seeds.is_empty(), "corpus holds at least one .{ext} seed");
-    seeds
-}
-
-/// Every crash-plan seed ever caught in the wild replays clean, forever
-/// (`tests/fault_seeds/*.crashseed`).
+/// Replays the case `FAULT_REPLAY="<profile> <seed>"` names; a no-op
+/// when it is unset.
 #[test]
-fn crash_seed_corpus_replays_clean() {
-    for seed in corpus_seeds("crashseed") {
-        check_crash_seed("crash corpus", seed);
+fn fault_replay() {
+    if let Ok(line) = std::env::var("FAULT_REPLAY") {
+        check(&Case::parse(&line));
     }
 }
 
-/// Every crash-plan seed also replays clean on the 2PC machine with a
-/// coordinator fail-stop layered on top (`two_pc_crash_plan_from_seed`).
-/// `tests/fault_seeds/two_pc.crashseed` pins seeds whose server-kill
-/// ordinal lands on each BEGIN write — the in-doubt-participant states
-/// presumed-abort recovery exists for.
-#[test]
-fn two_pc_crash_seed_corpus_replays_clean() {
-    for seed in corpus_seeds("crashseed") {
-        check_crash_plan(
-            Durability::Atomic,
-            "2pc crash corpus",
-            two_pc_crash_plan_from_seed(seed),
-        );
-    }
-}
-
-/// Every seed ever caught in the wild replays clean, forever.
+/// Every `chaos` case ever caught in the wild replays clean, forever.
 #[test]
 fn fault_seed_corpus_replays_clean() {
-    for seed in corpus_seeds("seed") {
-        check_seed("corpus", seed);
+    replay_corpus(&CHAOS);
+}
+
+/// Every `crash` corpus case replays clean on the WAL machine.
+#[test]
+fn crash_seed_corpus_replays_clean() {
+    replay_corpus(&CRASH);
+}
+
+/// Every `atomic` corpus case — the crash seeds with a coordinator
+/// fail-stop layered on top — replays clean on the 2PC machine.
+/// `tests/fault_seeds/two_pc.plans` pins seeds whose kill lands on each
+/// BEGIN write: the in-doubt states presumed-abort recovery exists for.
+#[test]
+fn two_pc_crash_seed_corpus_replays_clean() {
+    replay_corpus(&ATOMIC);
+}
+
+/// Every generated case's artifact line regenerates exactly the plan
+/// that failed, for every profile.
+#[test]
+fn artifact_lines_replay_the_failing_plan() {
+    for &profile in &PROFILES {
+        let failed = Case::generated(profile, mix64(profile.soak_base, 7));
+        let line = failed.line().expect("a generated case has a line");
+        assert_eq!(line, format!("{} {}", profile.name, failed.seed.unwrap()));
+        let replayed = Case::parse(&line);
+        assert!(std::ptr::eq(replayed.profile, profile));
+        assert_eq!(replayed.plan, failed.plan, "{line} regenerates its plan");
+    }
+    assert_eq!(
+        Case::directed(&CHAOS, FaultPlan::none()).line(),
+        None,
+        "a directed plan has no replay line"
+    );
+}
+
+/// FNV-1a over `parts`, each followed by a newline.
+fn digest<S: AsRef<str>>(parts: impl IntoIterator<Item = S>) -> u64 {
+    let text: String = parts
+        .into_iter()
+        .map(|p| format!("{}\n", p.as_ref()))
+        .collect();
+    faults::fnv(text.as_bytes())
+}
+
+/// The harness replays what the per-kind generators, seed files and
+/// workloads it replaced replayed, captured from them: per profile, the
+/// digest of its corpus cases' plans (`"<seed> <plan:?>"`, sorted), of
+/// its first 32 soak plans, and of its fault-free transcript followed by
+/// the run's `RunStats`.
+#[test]
+fn conversion_is_pinned() {
+    #[rustfmt::skip]
+    const PINS: [(&str, u64, u64, u64); 6] = [
+        // (profile, corpus, soak, fault-free reference)
+        ("chaos", 0x813d_ab4a_8a9c_b087, 0xbf51_88ef_c5fc_c404, 0x1717_e343_f789_6bcc),
+        ("crash", 0x6a23_d7c4_cefe_13f1, 0x1c5c_3090_d6af_daa1, 0xefb0_cb09_9ca9_de40),
+        ("atomic", 0x74e9_1cae_ef1e_b369, 0x1f69_c418_d69a_9a88, 0x2ddb_6c4d_e955_4988),
+        ("loss", 0x865d_1b4d_c2d9_53e9, 0xad59_4be2_774e_5231, 0xdbbe_552c_9c34_a730),
+        ("sweep", 0xcbf2_9ce4_8422_2325, 0x7df9_89b9_bd12_54f8, 0xa271_4054_3caa_377b),
+        ("sweep_atomic", 0xcbf2_9ce4_8422_2325, 0xd0d6_818e_febe_4793, 0x8108_a755_dc1d_3186),
+    ];
+    let corpus = faults::corpus();
+    for (name, corpus_pin, soak_pin, reference_pin) in PINS {
+        let profile = Profile::named(name);
+        let mut lines: Vec<String> = corpus
+            .iter()
+            .filter(|case| std::ptr::eq(case.profile, profile))
+            .map(|case| format!("{} {:?}", case.seed.unwrap(), case.plan))
+            .collect();
+        lines.sort();
+        assert_eq!(digest(&lines), corpus_pin, "{name}: corpus plans moved");
+        let soak =
+            (0..32).map(|case| format!("{:?}", profile.plan(mix64(profile.soak_base, case))));
+        assert_eq!(digest(soak), soak_pin, "{name}: soak plans moved");
+        let reference = profile.reference();
+        let stats = format!("{:?}", reference.stats);
+        assert_eq!(
+            digest(reference.transcript.iter().chain([&stats])),
+            reference_pin,
+            "{name}: fault-free transcript or RunStats moved"
+        );
     }
 }
 
@@ -509,8 +156,8 @@ fn fault_seed_corpus_replays_clean() {
 /// virtual time — proof the plan was not inert.
 #[test]
 fn drop_storm_converges() {
-    let (base, faulted) = check_plan(
-        "drop storm",
+    let (base, faulted) = check_directed(
+        &CHAOS,
         FaultPlan {
             seed: 11,
             msg: MsgFaults {
@@ -534,8 +181,8 @@ fn drop_storm_converges() {
 /// Duplicates mean strictly more deliveries than the fault-free run.
 #[test]
 fn dup_delay_storm_converges() {
-    let (base, faulted) = check_plan(
-        "dup+delay storm",
+    let (base, faulted) = check_directed(
+        &CHAOS,
         FaultPlan {
             seed: 12,
             msg: MsgFaults {
@@ -559,8 +206,8 @@ fn dup_delay_storm_converges() {
 /// and an LFS node pauses shortly after.
 #[test]
 fn outage_windows_converge() {
-    let (base, faulted) = check_plan(
-        "outages",
+    let (base, faulted) = check_directed(
+        &CHAOS,
         FaultPlan {
             seed: 13,
             outages: vec![
@@ -592,8 +239,8 @@ fn outage_windows_converge() {
 /// block failures; the driver absorbs all of it below the protocol.
 #[test]
 fn disk_transients_converge() {
-    check_plan(
-        "disk transients",
+    check_directed(
+        &CHAOS,
         FaultPlan {
             seed: 14,
             disk: DiskFaults {
@@ -623,9 +270,8 @@ fn disk_transients_converge() {
 /// no plan at all.
 #[test]
 fn inert_crash_plan_is_bit_identical() {
-    let fault_free = BridgeConfig::instant(BREADTH).with_wal();
-    let (base_log, base_stats) = run_wal_workload(&fault_free);
-    let mut armed = fault_free;
+    let reference = CRASH.reference();
+    let mut armed = CRASH.machine();
     armed.faults = FaultPlan {
         seed: 16,
         crashes: vec![CrashAt {
@@ -635,10 +281,13 @@ fn inert_crash_plan_is_bit_identical() {
         }],
         ..FaultPlan::none()
     };
-    let (armed_log, armed_stats) = run_wal_workload(&armed);
-    assert_eq!(base_log, armed_log, "inert crash plan changed a reply");
+    let run = CRASH.run(&armed);
     assert_eq!(
-        base_stats, armed_stats,
+        reference.transcript, run.transcript,
+        "inert crash plan changed a reply"
+    );
+    assert_eq!(
+        reference.stats, run.stats,
         "inert crash plan changed the event stream"
     );
 }
@@ -648,9 +297,8 @@ fn inert_crash_plan_is_bit_identical() {
 /// the window), and every acknowledged op must survive recovery.
 #[test]
 fn crash_mid_run_converges() {
-    let (base, faulted) = check_crash_plan(
-        Durability::Wal,
-        "mid-run crash",
+    let (base, faulted) = check_directed(
+        &CRASH,
         FaultPlan {
             seed: 17,
             crashes: vec![CrashAt {
@@ -676,9 +324,8 @@ fn crash_mid_run_converges() {
 /// re-executed against the recovered state.
 #[test]
 fn crash_with_duplicate_storm_replays_committed_ops() {
-    let (base, faulted) = check_crash_plan(
-        Durability::Wal,
-        "crash + dup storm",
+    let (base, faulted) = check_directed(
+        &CRASH,
         FaultPlan {
             seed: 18,
             msg: MsgFaults {
@@ -716,9 +363,25 @@ fn crash_with_duplicate_storm_replays_committed_ops() {
 #[test]
 fn storm_activity_surfaces_in_retry_metrics() {
     let collector = TraceCollector::install();
-    let mut config = BridgeConfig::instant(BREADTH).with_faults(storm_plan(15));
+    let storm = FaultPlan {
+        seed: 15,
+        msg: MsgFaults {
+            drop_per_mille: 200,
+            dup_per_mille: 150,
+            delay_per_mille: 200,
+            delay_max: SimDuration::from_millis(20),
+            max_consecutive_drops: 4,
+        },
+        disk: DiskFaults {
+            error_per_mille: 150,
+            max_consecutive: 4,
+            targets: Vec::new(),
+        },
+        ..FaultPlan::none()
+    };
+    let mut config: BridgeConfig = CHAOS.machine().with_faults(storm);
     config.tracer = Some(collector.as_tracer());
-    run_workload(&config);
+    CHAOS.run(&config);
     let metrics = Metrics::from_trace(&collector.snapshot());
     let retry = &metrics.retry;
     assert!(!retry.is_empty(), "storm must leave a trace");
@@ -746,7 +409,7 @@ proptest! {
     /// The headline invariant over random bounded plans.
     #[test]
     fn bounded_faults_preserve_observable_behavior(seed in any::<u64>()) {
-        check_seed("proptest", seed);
+        check(&Case::generated(&CHAOS, seed));
     }
 }
 
@@ -761,6 +424,6 @@ proptest! {
     /// half-applied, and pfsck stays clean.
     #[test]
     fn crash_schedules_preserve_acknowledged_writes(seed in any::<u64>()) {
-        check_crash_seed("crash proptest", seed);
+        check(&Case::generated(&CRASH, seed));
     }
 }

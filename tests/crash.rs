@@ -16,7 +16,8 @@
 //!   with their node at every ordinal.
 //! * `random_crash_schedules_preserve_acknowledged_state` /
 //!   `random_schedules_mixing_server_and_node_kills_under_2pc` — proptest
-//!   over seeded multi-crash schedules on the same workload.
+//!   over the `sweep` and `sweep_atomic` profiles' seeded multi-crash
+//!   schedules on the same workload.
 //! * `pfsck_detects_and_repairs_seeded_corruptions` /
 //!   `seeded_corruption_mixes_repair_to_clean` — every
 //!   [`CorruptionKind`] planted on a live instance is detected by
@@ -26,190 +27,49 @@
 //!   machine-wide pass exactly as the decision log says.
 //! * `pfsck_smoke` — the quick single-instance detect/repair/clean pass
 //!   the CI pfsck-smoke step runs on every push.
+//!
+//! The sweeps run on the fault harness (`tests/faults/`): its sweep
+//! workload, its once-per-process fault-free references and its oracle.
+
+mod faults;
 
 use bridge_repro::core::{
-    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, Durability,
-    MachineManifest, ManifestEntry, PlacementSpec, Redundancy,
+    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, MachineManifest,
+    ManifestEntry, Redundancy,
 };
-use bridge_repro::efs::{
-    set_failed, spawn_lfs, CorruptionKind, Efs, EfsConfig, LfsClient, LfsData, LfsFileId, LfsOp,
-};
+use bridge_repro::efs::{set_failed, spawn_lfs, CorruptionKind, Efs, EfsConfig, LfsFileId};
 use bridge_repro::parsim::{
-    mix64, splitmix64, CrashAt, FaultPlan, NodeId, ProcId, SimConfig, SimDuration, Simulation,
-    SERVER_DISK,
+    mix64, splitmix64, CrashAt, NodeId, ProcId, SimConfig, SimDuration, Simulation, SERVER_DISK,
 };
 use bridge_repro::simdisk::{DiskGeometry, DiskProfile, SimDisk};
 use bridge_repro::tools::{machine_check, pfsck, FsckOptions, MachineFinding};
+use faults::{check, kills, Case, Profile, SWEEP, SWEEP_ATOMIC, SWEEP_MACHINE_OPS, SWEEP_WORKLOAD};
 use proptest::prelude::*;
-use std::fmt::Write as _;
-use std::sync::OnceLock;
 
-/// Breadth of the sweep machine. Small on purpose: the sweep runs the
-/// workload once per elementary write per disk.
-const BREADTH: u32 = 2;
-
-/// Deterministic payload for append/overwrite `i` of stream `tag`.
-fn content(tag: u8, i: u64) -> Vec<u8> {
-    vec![tag ^ (i as u8), (i >> 8) as u8, tag, 0x42]
-        .into_iter()
-        .cycle()
-        .take(48 + (i as usize % 5) * 16)
-        .collect()
-}
-
-/// FNV-1a, to log block contents compactly.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+/// A kill of `disk` after its `k`th elementary write, down for 300 ms.
+fn kill(disk: u32, k: u64) -> CrashAt {
+    CrashAt {
+        disk,
+        after_writes: k,
+        down: SimDuration::from_millis(300),
     }
-    h
 }
 
-/// Runs the fixed sweep workload on a WAL machine and returns the client
-/// transcript (ending with the machine-wide `pfsck --check` verdict),
-/// each disk's elementary write count at the end of the run — the crash
-/// ordinal space the sweep walks — and the run's elapsed virtual time
-/// (not part of the transcript: recovery legitimately costs time).
-fn sweep_workload(config: &BridgeConfig) -> (Vec<String>, Vec<u64>, u64) {
-    let (mut sim, machine) = BridgeMachine::build(config);
-    let server = machine.server;
-    let pairs: Vec<(ProcId, NodeId)> = machine
-        .lfs
-        .iter()
-        .copied()
-        .zip(machine.lfs_nodes.iter().copied())
-        .collect();
-    let retry = config.server.lfs_retry;
-    sim.block_on(machine.frontend, "sweep-client", move |ctx| {
-        let mut bridge = BridgeClient::with_retry(server, retry);
-        let mut log: Vec<String> = Vec::new();
-        let a = bridge
-            .create(
-                ctx,
-                CreateSpec {
-                    placement: PlacementSpec::RoundRobin,
-                    size_hint: Some(16),
-                    ..CreateSpec::default()
-                },
-            )
-            .expect("create a");
-        let b = bridge
-            .create(
-                ctx,
-                CreateSpec {
-                    placement: PlacementSpec::Chunked,
-                    size_hint: Some(8),
-                    ..CreateSpec::default()
-                },
-            )
-            .expect("create b");
-        log.push(format!("create a={a:?} b={b:?}"));
-        for i in 0..10 {
-            let n = bridge
-                .seq_write(ctx, a, content(0xC0, i))
-                .expect("append a");
-            log.push(format!("a.append[{i}] -> {n}"));
+/// Kills each node of `profile`'s sweep machine after every single
+/// elementary disk write it performs in the fault-free run, one cut per
+/// run, and returns how many cuts it swept.
+fn sweep_every_write(profile: &'static Profile) -> u64 {
+    let writes = &profile.reference().disk_writes;
+    assert_eq!(writes.len(), profile.breadth as usize);
+    let mut swept = 0u64;
+    for (disk, &n) in writes.iter().enumerate() {
+        assert!(n > 0, "disk {disk} never wrote — workload too small");
+        for k in 1..=n {
+            check(&Case::directed(profile, kills(vec![kill(disk as u32, k)])));
+            swept += 1;
         }
-        for i in 0..6 {
-            let n = bridge
-                .seq_write(ctx, b, content(0xD0, i))
-                .expect("append b");
-            log.push(format!("b.append[{i}] -> {n}"));
-        }
-        bridge
-            .rand_write(ctx, a, 4, content(0xEE, 4))
-            .expect("overwrite a");
-        log.push("a.overwrite[4]".to_string());
-        for (name, file) in [("a", a), ("b", b)] {
-            let info = bridge.open(ctx, file).expect("open");
-            let mut line = format!("{name}.read size={}:", info.size);
-            while let Some(block) = bridge.seq_read(ctx, file).expect("seq read") {
-                write!(line, " {:016x}", fnv(&block)).unwrap();
-            }
-            log.push(line);
-        }
-        let freed = bridge.delete(ctx, b).expect("delete b");
-        log.push(format!("b.delete -> {freed}"));
-        for i in 10..12 {
-            let n = bridge
-                .seq_write(ctx, a, content(0xC0, i))
-                .expect("append a");
-            log.push(format!("a.append[{i}] -> {n}"));
-        }
-        let info = bridge.open(ctx, a).expect("reopen a");
-        let mut line = format!("a.final size={}:", info.size);
-        while let Some(block) = bridge.seq_read(ctx, a).expect("final read") {
-            write!(line, " {:016x}", fnv(&block)).unwrap();
-        }
-        log.push(line);
-        let verdict = pfsck(
-            ctx,
-            &pairs,
-            &FsckOptions {
-                retry,
-                // The machine-wide pass cross-checks the server's
-                // directory (and, on a 2PC machine, its decision log)
-                // against every instance — the all-or-nothing check.
-                server: Some(server),
-                ..FsckOptions::default()
-            },
-        )
-        .expect("pfsck");
-        log.push(format!(
-            "pfsck clean={} repaired={} errors={:?}",
-            verdict.clean(),
-            verdict.repaired,
-            verdict.errors(),
-        ));
-        let mut client = LfsClient::with_retry(retry);
-        let mut writes = Vec::new();
-        for &(proc, _) in &pairs {
-            match client
-                .call(ctx, proc, LfsOp::DiskStats)
-                .expect("disk stats")
-            {
-                LfsData::DiskCounters(stats) => writes.push(stats.writes),
-                other => panic!("unexpected DiskStats reply: {other:?}"),
-            }
-        }
-        (log, writes, ctx.now().as_nanos())
-    })
-}
-
-/// The sweep machine in durability mode `durability`.
-fn machine(durability: Durability) -> BridgeConfig {
-    BridgeConfig::instant(BREADTH).with_durability(durability)
-}
-
-/// The fault-free reference run on a `durability` machine, computed once
-/// per process.
-fn reference(durability: Durability) -> &'static (Vec<String>, Vec<u64>, u64) {
-    type Reference = (Vec<String>, Vec<u64>, u64);
-    static REFS: [OnceLock<Reference>; 3] = [const { OnceLock::new() }; 3];
-    REFS[durability as usize].get_or_init(|| sweep_workload(&machine(durability)))
-}
-
-/// Machine-wide mutations in the sweep workload: two Creates and one
-/// Delete. On the 2PC machine each costs the coordinator exactly two
-/// elementary decision-log writes (BEGIN, COMMIT), which fixes the
-/// server-kill ordinal space at `2 * SWEEP_MACHINE_OPS`.
-const SWEEP_MACHINE_OPS: u64 = 3;
-
-/// Runs the sweep workload under `crashes` on a `durability` machine and
-/// asserts the transcript is identical to the fault-free reference.
-fn check_crashes(durability: Durability, label: &str, crashes: Vec<CrashAt>) {
-    let (baseline, _, _) = reference(durability);
-    let plan = FaultPlan {
-        seed: 0x0C4A_0007,
-        crashes,
-        ..FaultPlan::none()
-    };
-    let (crashed, _, _) = sweep_workload(&machine(durability).with_faults(plan.clone()));
-    assert_eq!(
-        &crashed, baseline,
-        "crash invariant violated ({label}): plan {plan:?}"
-    );
+    }
+    swept
 }
 
 /// The headline sweep: kill each node after every single elementary disk
@@ -219,25 +79,8 @@ fn check_crashes(durability: Durability, label: &str, crashes: Vec<CrashAt>) {
 /// require the acknowledged state to survive every cut.
 #[test]
 fn crash_at_every_write_preserves_acknowledged_state() {
-    let (_, writes, _) = reference(Durability::Wal);
-    assert_eq!(writes.len(), BREADTH as usize);
-    let mut swept = 0u64;
-    for (disk, &n) in writes.iter().enumerate() {
-        assert!(n > 0, "disk {disk} never wrote — workload too small");
-        for k in 1..=n {
-            check_crashes(
-                Durability::Wal,
-                &format!("disk {disk}, write {k}/{n}"),
-                vec![CrashAt {
-                    disk: disk as u32,
-                    after_writes: k,
-                    down: SimDuration::from_millis(300),
-                }],
-            );
-            swept += 1;
-        }
-    }
-    eprintln!("swept {swept} crash points across {} disks", writes.len());
+    let swept = sweep_every_write(&SWEEP);
+    eprintln!("swept {swept} crash points across {} disks", SWEEP.breadth);
 }
 
 /// Routing the workload through two-phase commit is client-invisible: the
@@ -246,8 +89,8 @@ fn crash_at_every_write_preserves_acknowledged_state() {
 #[test]
 fn fault_free_two_pc_transcript_matches_wal_machine() {
     assert_eq!(
-        reference(Durability::Atomic).0,
-        reference(Durability::Wal).0
+        SWEEP_ATOMIC.reference().transcript,
+        SWEEP.reference().transcript
     );
 }
 
@@ -264,15 +107,10 @@ fn fault_free_two_pc_transcript_matches_wal_machine() {
 fn server_kill_at_every_decision_point_preserves_atomicity() {
     let n = 2 * SWEEP_MACHINE_OPS;
     for k in 1..=n + 1 {
-        check_crashes(
-            Durability::Atomic,
-            &format!("server write {k}/{n}"),
-            vec![CrashAt {
-                disk: SERVER_DISK,
-                after_writes: k,
-                down: SimDuration::from_millis(300),
-            }],
-        );
+        check(&Case::directed(
+            &SWEEP_ATOMIC,
+            kills(vec![kill(SERVER_DISK, k)]),
+        ));
     }
     eprintln!("swept {n} coordinator crash points (+1 past the end)");
 }
@@ -282,20 +120,14 @@ fn server_kill_at_every_decision_point_preserves_atomicity() {
 /// least the 300 ms down window in virtual time.
 #[test]
 fn server_kill_sweep_is_not_inert() {
-    let &(_, _, fault_free) = reference(Durability::Atomic);
-    let plan = FaultPlan {
-        seed: 0x0C4A_0007,
-        crashes: vec![CrashAt {
-            disk: SERVER_DISK,
-            after_writes: 1,
-            down: SimDuration::from_millis(300),
-        }],
-        ..FaultPlan::none()
-    };
-    let (_, _, crashed) = sweep_workload(&machine(Durability::Atomic).with_faults(plan));
+    let (base, crashed) = check(&Case::directed(
+        &SWEEP_ATOMIC,
+        kills(vec![kill(SERVER_DISK, 1)]),
+    ));
+    let (fault_free, crashed) = (base.stats.end_time, crashed.stats.end_time);
     assert!(
-        crashed >= fault_free + SimDuration::from_millis(300).as_nanos(),
-        "the coordinator kill never fired: {crashed} vs fault-free {fault_free}"
+        crashed >= fault_free + SimDuration::from_millis(300),
+        "the coordinator kill never fired: {crashed:?} vs fault-free {fault_free:?}"
     );
 }
 
@@ -305,27 +137,10 @@ fn server_kill_sweep_is_not_inert() {
 /// the DECIDE records (a node dies mid-finalization and must replay it).
 #[test]
 fn crash_at_every_lfs_write_under_2pc_preserves_atomicity() {
-    let (_, writes, _) = reference(Durability::Atomic);
-    assert_eq!(writes.len(), BREADTH as usize);
-    let mut swept = 0u64;
-    for (disk, &n) in writes.iter().enumerate() {
-        assert!(n > 0, "disk {disk} never wrote — workload too small");
-        for k in 1..=n {
-            check_crashes(
-                Durability::Atomic,
-                &format!("2pc disk {disk}, write {k}/{n}"),
-                vec![CrashAt {
-                    disk: disk as u32,
-                    after_writes: k,
-                    down: SimDuration::from_millis(300),
-                }],
-            );
-            swept += 1;
-        }
-    }
+    let swept = sweep_every_write(&SWEEP_ATOMIC);
     eprintln!(
         "swept {swept} participant crash points across {} disks",
-        writes.len()
+        SWEEP_ATOMIC.breadth
     );
 }
 
@@ -339,46 +154,14 @@ proptest! {
     /// and down windows) on the sweep workload: same invariant.
     #[test]
     fn random_crash_schedules_preserve_acknowledged_state(seed in any::<u64>()) {
-        let (_, writes, _) = reference(Durability::Wal);
-        let max_writes = writes.iter().copied().max().unwrap_or(1);
-        let mut s = mix64(seed, 0x5EED_0C4A);
-        let mut draw = move || splitmix64(&mut s);
-        let mut crashes = Vec::new();
-        for _ in 0..1 + draw() % 3 {
-            crashes.push(CrashAt {
-                disk: (draw() % u64::from(BREADTH)) as u32,
-                // Past-the-end ordinals (never firing) are legal and must
-                // behave like no fault; bias toward in-range cuts.
-                after_writes: 1 + draw() % (max_writes + max_writes / 4 + 1),
-                down: SimDuration::from_millis(100 + draw() % 1_200),
-            });
-        }
-        check_crashes(Durability::Wal, "random schedule", crashes);
+        check(&Case::generated(&SWEEP, seed));
     }
 
     /// Seeded schedules on the 2PC machine mixing coordinator kills with
     /// node kills — in-doubt windows stacked on participant recoveries.
     #[test]
     fn random_schedules_mixing_server_and_node_kills_under_2pc(seed in any::<u64>()) {
-        let (_, writes, _) = reference(Durability::Atomic);
-        let max_writes = writes.iter().copied().max().unwrap_or(1);
-        let mut s = mix64(seed, 0x5EED_2BC0);
-        let mut draw = move || splitmix64(&mut s);
-        let mut crashes = Vec::new();
-        for _ in 0..1 + draw() % 3 {
-            // One in three kills targets the coordinator's decision log.
-            let (disk, span) = if draw() % 3 == 0 {
-                (SERVER_DISK, 2 * SWEEP_MACHINE_OPS)
-            } else {
-                ((draw() % u64::from(BREADTH)) as u32, max_writes)
-            };
-            crashes.push(CrashAt {
-                disk,
-                after_writes: 1 + draw() % (span + span / 4 + 1),
-                down: SimDuration::from_millis(100 + draw() % 1_200),
-            });
-        }
-        check_crashes(Durability::Atomic, "random 2pc schedule", crashes);
+        check(&Case::generated(&SWEEP_ATOMIC, seed));
     }
 }
 
@@ -413,7 +196,7 @@ fn orphan_column_is_resolved_by_the_logged_decision() {
             .expect("create");
         for i in 0..6 {
             bridge
-                .seq_write(ctx, file, content(0xAB, i))
+                .seq_write(ctx, file, SWEEP_WORKLOAD.content(0xAB, i))
                 .expect("append");
         }
         set_failed(ctx, victim, true);
@@ -553,7 +336,7 @@ fn corrupted_machine(
                         ctx,
                         file,
                         block_no,
-                        &content(f as u8, u64::from(block_no)),
+                        &SWEEP_WORKLOAD.content(f as u8, u64::from(block_no)),
                         None,
                     )
                     .expect("write");
